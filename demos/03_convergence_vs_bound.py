@@ -1,8 +1,9 @@
 """How fast does the Halton diaphony fall, and how sharp is the bound?
 
 The squared diaphony of an N-point Halton prefix is provably at most
-c * (ln N)**s / N**2 + d / N**2.  A prefix sweep shares the pairwise work
-across all N, so the whole table costs one quadratic pass.
+c * (ln N)**s / N**2 + d / N**2.  A prefix sweep counts point pairs per
+digit cell once, for the largest N, so the whole table costs about as much
+as its last row.
 """
 
 import math

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +39,6 @@ class RunConfig:
     box: TruncationBox | None
     start: int
     format: str
-    workers: int
     output: str | None
 
 
@@ -101,9 +99,6 @@ def _build_config(args, *, need_box: bool = False) -> RunConfig:
     start = getattr(args, "start", 0) or 0
     if start < 0:
         raise _UsageError("--start must be nonnegative")
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise _UsageError("--workers must be at least 1")
     method = getattr(args, "method", "kernel")
     box = _parse_box(args, bases, required=need_box or method == "spectral")
     return RunConfig(
@@ -113,7 +108,6 @@ def _build_config(args, *, need_box: bool = False) -> RunConfig:
         box=box,
         start=start,
         format=args.format,
-        workers=workers,
         output=args.out,
     )
 
@@ -127,7 +121,6 @@ def _config_echo(config: RunConfig, command: str) -> dict:
         "box": list(config.box.exponents) if config.box else None,
         "start": config.start,
         "format": config.format,
-        "workers": config.workers,
         "output": config.output,
     }
 
@@ -265,8 +258,6 @@ def _add_common(parser: argparse.ArgumentParser, *, count_default=None) -> None:
     parser.add_argument("--bases", help="comma-separated prime bases, e.g. 2,3,5")
     parser.add_argument("--dim", type=int, help="use the first DIM primes as bases")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count (results are identical for any value)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     if count_default is not None:
         parser.add_argument("--count", type=int, default=count_default,

@@ -1,11 +1,13 @@
 """Diaphony of point sets in the unit cube, by two independent routes.
 
-The kernel route accumulates the closed-form pair kernel over all point
-pairs (exactly in rationals, or fast in compensated doubles).  The spectral
-route sums weighted squared Weyl sums over a finite index box and carries
-the exact analytic tail, yielding a rigorous enclosure of the squared
-diaphony.  On top sit the worst-case-error identity, the asymptotic bound
-for Halton prefixes, and the per-index Weyl-sum ceiling check.
+The kernel route sums the closed-form pair kernel over all point pairs.
+Its fast mode counts the points sharing each digit cell, in integers; its
+exact mode adds kernel values pair by pair in rationals.  Both yield the
+squared diaphony as one exact rational, rounded to float once.  The
+spectral route sums weighted squared Weyl sums over a finite index box and
+carries the exact analytic tail, yielding a rigorous enclosure of the
+squared diaphony.  On top sit the worst-case-error identity, the asymptotic
+bound for Halton prefixes, and the per-index Weyl-sum ceiling check.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ ENUMERATION_CAP = 1 << 22
 _HARD_BOX_LIMIT = 1 << 31
 # Target entries per per-dimension phase-matrix chunk.
 _TABLE_CHUNK = 1 << 22
-# Row-block size of the pairwise kernel accumulation.
-_PAIR_BLOCK = 1024
 # Weyl-sum ratios above 1 + RATIO_TOLERANCE count as violations.
 RATIO_TOLERANCE = 1e-9
 
@@ -292,68 +292,98 @@ def weyl_sum_table(
 
 # ---------------------------------------------------------------------------
 # Kernel route
+#
+# In one coordinate, 1 + c_p(x, y) = sum_{a >= 1} (p**2 - 1) p**-a [x, y share
+# their first a digits].  So the sum of the kernel over point pairs is
+# sum_a W(a) Q(a) over digit resolutions a = (a_1, ..., a_s), with
+# W(a) = prod_i (p_i**2 - 1) p_i**-a_i and Q(a) the integer count of pairs
+# lying in one elementary cell of resolution a.
+
+# Agreement length of two equal coordinates: they share every digit.
+_EQUAL = np.iinfo(np.int64).max
 
 
-def _digit_matrices(pts: list[Point], bases: PrimeBases) -> list[np.ndarray]:
-    """Per dimension, an (N, D_i) digit matrix padded with zeros."""
-    mats = []
-    for i in range(bases.dimension):
-        coords = [pt.coords[i] for pt in pts]
-        depth = max((len(c.digits) for c in coords), default=0)
-        A = np.zeros((len(pts), depth), dtype=np.int16)
-        for row, c in enumerate(coords):
-            if c.digits:
-                A[row, : len(c.digits)] = c.digits
-        mats.append(A)
-    return mats
+def _coordinate_digits(pts: list[Point], i: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Coordinate i of every point: depth, zero-padded (N, depth) int64
+    digit matrix, and each point's position in lexicographic digit order."""
+    rows = [pt.coords[i].digits for pt in pts]
+    depth = max(1, max(map(len, rows)))  # a column to compare even when all are 0
+    digits = np.zeros((len(rows), depth), dtype=np.int64)
+    for r, row in enumerate(rows):
+        digits[r, : len(row)] = row
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[np.lexsort(digits.T[::-1])] = np.arange(len(rows))
+    return depth, digits, rank
 
 
-def _coordinate_kernel_block(rows: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
-    """Pairwise one-dimensional kernel values 1 + c(x, y) for one coordinate.
+def _level_weight(p: int, depth: int, lo: int, hi: int) -> int:
+    """p**depth * sum_{a=lo..hi} (p**2 - 1) p**-a, an integer for
+    1 <= lo <= hi < depth; hi = _EQUAL sums the whole tail, (p + 1) p**(1 - lo)."""
+    tail = 0 if hi == _EQUAL else p ** (depth - hi)
+    return (p + 1) * (p ** (depth + 1 - lo) - tail)
 
-    Uses 1 + c = (p + 1)(1 - p**-v) with v the count of leading agreeing
-    digits (v = infinity on exact equality), unrolled over digit levels.
+
+def _cell_pair_sums(coords, i, idx, cell, weight, sizes, totals) -> None:
+    """Add to totals[k] the kernel sum, times prod_i p_i**depth_i, over pairs
+    m < m' < sizes[k] of the points ``idx`` (ascending) that share a cell of
+    ``cell`` (dense labels, each cell holding at least two points) in the
+    coordinates before i; ``weight`` is those coordinates' scaled weight.
+
+    Sorting each cell by coordinate i's digits puts every finer digit cell
+    in one run, and the shared-digit count of two points is the minimum over
+    the adjacent pairs between them.  The partition therefore changes only
+    at levels one past an adjacent agreement length, and each run of levels
+    between two such values is one term with its summed weight.  Cells
+    shrunk to one point are dropped before going on to coordinate i + 1.
     """
-    depth = rows.shape[1]
-    eq = np.ones((rows.shape[0], cols.shape[0]), dtype=bool)
-    K = np.zeros(eq.shape)
-    for a in range(1, depth + 1):
-        eq &= rows[:, a - 1, None] == cols[None, :, a - 1]
-        K += ((p * p - 1) / p**a) * eq
-    K += ((p + 1) / p**depth) * eq
-    return K
+    p, depth, digits, rank = coords[i]
+    n = len(idx)
+    order = np.argsort(cell * len(rank) + rank[idx])
+    run = digits[idx[order]]
+    differ = run[1:] != run[:-1]
+    agree = np.where(differ.any(axis=1), differ.argmax(axis=1), _EQUAL)
+    agree[cell[order[1:]] != cell[order[:-1]]] = -1
+    last = i + 1 == len(coords)
+    if last:
+        before = np.searchsorted(idx, sizes)
+    lo = 1
+    for hi in np.unique(agree[agree > 0]).tolist():
+        group = np.empty(n, dtype=np.int64)
+        group[order] = np.concatenate(([0], np.cumsum(agree < lo)))
+        counts = np.bincount(group)
+        if counts.max() < 2:
+            break
+        w = weight * _level_weight(p, depth, lo, hi)
+        if last:
+            # earlier[m]: points of m's cell with a smaller index
+            by_index = np.argsort(group, kind="stable")
+            first = np.cumsum(counts) - counts
+            earlier = np.empty(n, dtype=np.int64)
+            earlier[by_index] = np.arange(n) - first[group[by_index]]
+            pairs = np.concatenate(([0], np.cumsum(earlier)))[before]
+            totals += pairs.astype(object) * w
+        else:
+            keep = counts[group] > 1
+            dense = np.cumsum(counts > 1) - 1
+            _cell_pair_sums(
+                coords, i + 1, idx[keep], dense[group[keep]], w, sizes, totals
+            )
+        lo = hi + 1
 
 
-def _pair_kernel_block(dmats, primes, r0, r1, c0, c1) -> np.ndarray:
-    K = None
-    for A, p in zip(dmats, primes):
-        Ki = _coordinate_kernel_block(A[r0:r1], A[c0:c1], p)
-        K = Ki if K is None else K * Ki
-    return K
-
-
-def _lower_pair_row_sums(pts: list[Point], bases: PrimeBases) -> np.ndarray:
-    """c[n] = sum_{m<n} K(x_n, x_m), accumulated blockwise in a fixed order."""
-    dmats = _digit_matrices(pts, bases)
-    primes = bases.primes
-    n = len(pts)
-    c = np.zeros(n)
-    for b0 in range(0, n, _PAIR_BLOCK):
-        b1 = min(b0 + _PAIR_BLOCK, n)
-        if b0:
-            cross = _pair_kernel_block(dmats, primes, b0, b1, 0, b0)
-            c[b0:b1] += cross.sum(axis=1)
-        intra = _pair_kernel_block(dmats, primes, b0, b1, b0, b1)
-        c[b0:b1] += np.tril(intra, -1).sum(axis=1)
-    return c
+def _kernel_report(n: int, pair_sum: Fraction, sig: int) -> DiaphonyReport:
+    """Report from the exact kernel sum over all ordered pairs of n points."""
+    f_squared = _clamp_unit(float((pair_sum / (n * n) - 1) / (sig - 1)))
+    return DiaphonyReport(n, math.sqrt(f_squared), f_squared, "kernel")
 
 
 def diaphony_kernel_prefixes(points, bases: PrimeBases, prefix_sizes) -> list[DiaphonyReport]:
-    """Fast-mode kernel reports for several prefix lengths in one quadratic pass.
+    """Kernel reports for several prefix lengths from one exact count.
 
-    Every report equals ``diaphony_kernel`` on the corresponding prefix; the
-    pairwise work is shared, so a whole convergence sweep costs one O(N**2)
-    accumulation instead of one per row.
+    Every report equals ``diaphony_kernel`` on the corresponding prefix,
+    bitwise.  The pair sum is counted once over the longest prefix: a pair
+    m < m' enters every prefix longer than m', so a running count of earlier
+    points in each digit cell gives all prefix lengths at the cost of one.
     """
     pts = _point_list(points, bases)
     sizes = list(prefix_sizes)
@@ -363,29 +393,36 @@ def diaphony_kernel_prefixes(points, bases: PrimeBases, prefix_sizes) -> list[Di
         if not 1 <= nn <= len(pts):
             raise ValueError(f"prefix size {nn} outside 1..{len(pts)}")
     need = max(sizes)
-    row_sums = _lower_pair_row_sums(pts[:need], bases)
+    head = pts[:need]
+    coords = []
+    scale = 1
+    for i, p in enumerate(bases.primes):
+        depth, digits, rank = _coordinate_digits(head, i)
+        coords.append((p, depth, digits, rank))
+        scale *= p**depth
+    totals = np.zeros(len(sizes), dtype=object)
+    _cell_pair_sums(
+        coords, 0, np.arange(need), np.zeros(need, dtype=np.int64), 1,
+        np.asarray(sizes), totals,
+    )
     sig = weight_mass(bases)
-    wanted = set(sizes)
-    acc = KahanSum()
-    f_squared_at = {}
-    for nn in range(1, need + 1):
-        acc.add(float(row_sums[nn - 1]))
-        if nn in wanted:
-            raw = ((nn * sig + 2.0 * acc.total) / (nn * nn) - 1.0) / (sig - 1)
-            f_squared_at[nn] = _clamp_unit(raw)
     return [
-        DiaphonyReport(nn, math.sqrt(f_squared_at[nn]), f_squared_at[nn], "kernel")
-        for nn in sizes
+        _kernel_report(nn, nn * sig + Fraction(2 * t, scale), sig)
+        for nn, t in zip(sizes, totals)
     ]
 
 
 def diaphony_kernel(points, bases: PrimeBases, mode: str = "fast") -> DiaphonyReport:
     """Diaphony via the closed-form pair kernel.
 
-    fast  -- double precision with compensated summation, using symmetry
-             (pair sum = N * sigma + 2 * sum over unordered pairs).
-    exact -- the full double sum accumulated in exact rationals and
-             converted to float once at the end; the oracle path.
+    Both modes compute the squared diaphony as one exact rational and round
+    it to float once, so they agree bitwise.
+
+    fast  -- counts point pairs per digit cell (see
+             ``diaphony_kernel_prefixes``): integer work on digit arrays,
+             near-linear in N for well-spread points, any bases.
+    exact -- the full O(N**2) double sum of ``kernel_value`` in rationals;
+             the oracle path.
     """
     pts = _point_list(points, bases)
     if not pts:
@@ -394,15 +431,11 @@ def diaphony_kernel(points, bases: PrimeBases, mode: str = "fast") -> DiaphonyRe
         return diaphony_kernel_prefixes(pts, bases, [len(pts)])[0]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    n = len(pts)
     total = Fraction(0)
     for x in pts:
         for y in pts:
             total += kernel_value(x, y, bases)
-    sig = weight_mass(bases)
-    exact = (total / (n * n) - 1) / (sig - 1)
-    f_squared = _clamp_unit(float(exact))
-    return DiaphonyReport(n, math.sqrt(f_squared), f_squared, "kernel")
+    return _kernel_report(len(pts), total, weight_mass(bases))
 
 
 # ---------------------------------------------------------------------------

@@ -169,11 +169,10 @@ def test_verify_lemma_box_cap(capsys):
 
 def test_json_output_mirrors_fields(capsys):
     code, out, _ = run(capsys, "diaphony", "--bases", "2,3", "--count", "4",
-                       "--method", "kernel", "--format", "json", "--workers", "2")
+                       "--method", "kernel", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["config"]["bases"] == [2, 3]
-    assert payload["config"]["workers"] == 2
     assert payload["config"]["command"] == "diaphony"
     row = payload["rows"][0]
     assert set(row) == {"N", "F", "F2", "e"}
@@ -191,20 +190,10 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_identical_invocations_are_byte_identical(capsys):
-    args = ("sweep", "--bases", "2,3", "--from", "1", "--to", "32", "--step", "pow2",
-            "--workers", "4")
+    args = ("sweep", "--bases", "2,3", "--from", "1", "--to", "32", "--step", "pow2")
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
-    _, third, _ = run(capsys, *args[:-2], "--workers", "1")
-    assert first == third  # worker count never changes the numbers
-
-
-def test_workers_validation(capsys):
-    code, _, err = run(capsys, "halton", "--bases", "2", "--count", "1",
-                       "--workers", "0")
-    assert code == 2
-    assert "--workers" in err
 
 
 def test_count_validation(capsys):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padiaphony import (
     BoxTooLarge,
@@ -27,6 +29,7 @@ from padiaphony import (
     halton_diaphony_bound,
     halton_point,
     halton_stream,
+    point_from_values,
     spectral_tail,
     truncated_spectral_sum,
     validate_bases,
@@ -153,7 +156,7 @@ def test_fast_and_exact_agree_on_random_points():
         pts = rand_points(rng, (2, 3), rng.randrange(1, 12))
         fast = diaphony_kernel(pts, B23, "fast")
         exact = diaphony_kernel(pts, B23, "exact")
-        assert abs(fast.f_squared - exact.f_squared) < 1e-12
+        assert fast == exact
 
 
 def test_prefix_sweep_matches_direct_evaluation():
@@ -163,7 +166,7 @@ def test_prefix_sweep_matches_direct_evaluation():
     for n, rep in zip(sizes, reports):
         direct = diaphony_kernel(pts[:n], B23, "fast")
         assert rep.n_points == n
-        assert abs(rep.f_squared - direct.f_squared) < 1e-12
+        assert rep == direct
 
 
 def test_prefix_sweep_validates_sizes():
@@ -171,6 +174,79 @@ def test_prefix_sweep_validates_sizes():
     with pytest.raises(ValueError):
         diaphony_kernel_prefixes(pts, B2, [5])
     assert diaphony_kernel_prefixes(pts, B2, []) == []
+
+
+@pytest.mark.parametrize("primes", [(2, 65537), (40009,)])
+def test_fast_kernel_handles_large_bases(primes):
+    bases = validate_bases(primes)
+    rng = random.Random(65537)
+    pts = [point_from_values([rng.random() for _ in primes], bases) for _ in range(24)]
+    assert any(d >= 32768 for pt in pts for c in pt.coords for d in c.digits)
+    assert diaphony_kernel(pts, bases, "fast") == diaphony_kernel(pts, bases, "exact")
+
+
+def _with_digit(x: DigitVector, position: int, digit: int) -> DigitVector:
+    digits = list(x.digits) + [0] * max(0, position - len(x.digits))
+    digits[position - 1] = digit
+    return DigitVector(x.base, tuple(digits))
+
+
+def _deep_near_duplicates():
+    """46 ingested points in bases (2, 3, 5, 7): a pair equal but for binary
+    digit 50 of the first coordinate, and five points sharing three
+    coordinates.  Digit levels at which no cell splits must be skipped."""
+    bases = validate_bases([2, 3, 5, 7])
+    rng = random.Random(50)
+    pts = [point_from_values([rng.random() for _ in range(4)], bases) for _ in range(41)]
+    x = pts[0].coords[0]
+    pts.append(Point((_with_digit(x, 50, 1 - x.digit(50)),) + pts[0].coords[1:]))
+    for _ in range(4):
+        last = point_from_values([rng.random()], validate_bases([7])).coords
+        pts.append(Point(pts[1].coords[:3] + last))
+    return bases, pts
+
+
+@st.composite
+def kernel_cases(draw):
+    """Digit point sets with duplicates, zero coordinates, shared exact
+    coordinates, deep near-duplicates and bases with digits >= 32768."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 40009, 65537)), min_size=1, max_size=4))
+
+    def coord(p):
+        return DigitVector(p, tuple(draw(st.lists(st.integers(0, p - 1), max_size=5))))
+
+    pts = [Point(tuple(coord(p) for p in primes)) for _ in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 5))):
+        src = draw(st.sampled_from(pts))
+        kind = draw(st.sampled_from(("duplicate", "share", "near")))
+        if kind == "duplicate":
+            pts.append(src)
+            continue
+        i = draw(st.integers(0, len(primes) - 1))
+        if kind == "share":
+            dst = draw(st.integers(0, len(pts) - 1))
+            coords = list(pts[dst].coords)
+            coords[i] = src.coords[i]
+            pts[dst] = Point(tuple(coords))
+        else:
+            x = src.coords[i]
+            position = draw(st.integers(1, 60))
+            digit = (x.digit(position) + draw(st.integers(1, x.base - 1))) % x.base
+            coords = list(src.coords)
+            coords[i] = _with_digit(x, position, digit)
+            pts.append(Point(tuple(coords)))
+    sizes = draw(st.lists(st.integers(1, len(pts)), min_size=1, max_size=4))
+    return PrimeBases(tuple(primes)), pts, sizes
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=kernel_cases())
+@example(case=(*_deep_near_duplicates(), [1, 2, 41, 42, 46]))
+def test_counting_route_equals_exact_oracle(case):
+    bases, pts, sizes = case
+    assert diaphony_kernel(pts, bases, "fast") == diaphony_kernel(pts, bases, "exact")
+    reports = diaphony_kernel_prefixes(pts, bases, sizes)
+    assert reports == [diaphony_kernel(pts[:n], bases, "fast") for n in sizes]
 
 
 def test_kernel_mode_validation():
