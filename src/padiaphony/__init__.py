@@ -7,7 +7,6 @@ from .diaphony import (
     RATIO_TOLERANCE,
     BoundReport,
     DiaphonyReport,
-    KahanSum,
     WeylCheckReport,
     diaphony_kernel,
     diaphony_kernel_prefixes,

@@ -135,8 +135,11 @@ def _emit(config: RunConfig, command: str, header: list[str], rows: list[dict]) 
         payload = {"config": _config_echo(config, command), "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"--out: {exc}") from None
     else:
         sys.stdout.write(text)
 

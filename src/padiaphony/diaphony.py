@@ -40,7 +40,6 @@ __all__ = [
     "DiaphonyReport",
     "BoundReport",
     "WeylCheckReport",
-    "KahanSum",
     "weyl_sum",
     "weyl_sum_table",
     "diaphony_kernel",
@@ -60,11 +59,9 @@ log = logging.getLogger(__name__)
 
 # Boxes enumerating more index vectors than this are rejected.
 ENUMERATION_CAP = 1 << 22
-# Absolute ceiling regardless of a caller-raised cap: keeps the vectorized
-# modular arithmetic inside int64 (products stay below 2**62).
+# Absolute ceiling regardless of a caller-raised cap: with B = prod p**g at
+# most 2**31, the Weyl-ceiling numerators and their sums stay inside int64.
 _HARD_BOX_LIMIT = 1 << 31
-# Target entries per per-dimension phase-matrix chunk.
-_TABLE_CHUNK = 1 << 22
 # Weyl-sum ratios above 1 + RATIO_TOLERANCE count as violations.
 RATIO_TOLERANCE = 1e-9
 
@@ -104,7 +101,7 @@ class WeylCheckReport:
     violations: int
 
 
-class KahanSum:
+class _KahanSum:
     """Compensated running sum; works for float and complex alike."""
 
     def __init__(self, zero=0.0):
@@ -158,31 +155,22 @@ def weyl_sum(points, k: IndexVector, bases: PrimeBases) -> complex:
     pts = _point_list(points, bases)
     if not pts:
         raise ValueError("at least one point is required")
-    acc = KahanSum(0j)
+    acc = _KahanSum(0j)
     for x in pts:
         acc.add(char_product(k, x, bases))
     return acc.total
 
 
 @lru_cache(maxsize=64)
-def _index_tables(p: int, g: int):
-    """Digit reversals, moduli p**len(k) and digit counts for all k < p**g."""
-    size = p**g
-    ks = np.arange(size, dtype=np.int64)
-    digs = np.empty((g, size), dtype=np.int64)
-    q = ks
-    for j in range(g):
-        q, digs[j] = np.divmod(q, p)
-    lengths = np.zeros(size, dtype=np.int64)
-    for j in range(g):
-        lengths[digs[j] != 0] = j + 1
-    pow_desc = p ** np.arange(g - 1, -1, -1, dtype=np.int64)
-    full_rev = (digs * pow_desc[:, None]).sum(axis=0)
-    mods = np.power(p, lengths)
-    revs = full_rev // np.power(p, g - lengths)
-    for arr in (revs, mods, lengths):
-        arr.setflags(write=False)
-    return revs, mods, lengths
+def _full_reversal(p: int, g: int) -> np.ndarray:
+    """The g-digit base-p reversal of every k < p**g."""
+    q = np.arange(p**g, dtype=np.int64)
+    rev = np.zeros_like(q)
+    for _ in range(g):
+        q, digit = np.divmod(q, p)
+        rev = rev * p + digit
+    rev.setflags(write=False)
+    return rev
 
 
 @lru_cache(maxsize=64)
@@ -193,39 +181,6 @@ def _weight_vector(p: int, g: int) -> np.ndarray:
         w[p**t : p ** (t + 1)] = 1.0 / p ** (2 * t)
     w.setflags(write=False)
     return w
-
-
-def _padic_phase_rows(xmod: np.ndarray, p: int, g: int) -> np.ndarray:
-    """Character values for all k < p**g at coordinates given mod p**g."""
-    revs, mods, _ = _index_tables(p, g)
-    num = (revs[:, None] * xmod[None, :]) % mods[:, None]
-    return np.exp((2j * np.pi) * (num / mods[:, None]))
-
-
-def _walsh_phase_rows(xdigits: np.ndarray, p: int, g: int) -> np.ndarray:
-    """Walsh values for all k < p**g at coordinates given as (n, g) digit rows."""
-    size = p**g
-    kdigs = np.empty((size, g), dtype=np.int64)
-    q = np.arange(size, dtype=np.int64)
-    for j in range(g):
-        q, kdigs[:, j] = np.divmod(q, p)
-    tot = (kdigs @ xdigits.T) % p
-    return np.exp((2j * np.pi) * (tot / p))
-
-
-def _accumulate_table(S: np.ndarray, mats: list[np.ndarray]) -> None:
-    s = len(mats)
-    if s == 1:
-        S += mats[0].sum(axis=1)
-    elif s == 2:
-        S += mats[0] @ mats[1].T
-    else:
-        A, B = mats[-2], mats[-1]
-        for idx in np.ndindex(*S.shape[:-2]):
-            w = mats[0][idx[0]]
-            for i in range(1, s - 2):
-                w = w * mats[i][idx[i]]
-            S[idx] += (A * w[None, :]) @ B.T
 
 
 def weyl_sum_table(
@@ -239,8 +194,17 @@ def weyl_sum_table(
 
     The tensor has shape ``(p_1**g_1, ..., p_s**g_s)`` and entry ``k`` equal
     to ``sum_n w_k(x_n)`` for the chosen function system ("padic" or
-    "walsh"); the origin entry is the point count.  Per-dimension phase
-    tables make each sum cost O(N) complex operations.
+    "walsh"); the origin entry is the point count.
+
+    Both systems see a coordinate only through X = monna_inverse(x) mod p**g,
+    so the table is one unnormalized inverse DFT of the point histogram on
+    the grid of X values.  The k-th p-adic character at x is
+    exp(2 pi i rev(k) X / p**g), with rev the g-digit reversal, so the
+    p-adic table is the transform read off at the reversed frequencies.  The
+    Walsh functions pair the digits of k with those of X, so the Walsh table
+    is the same transform over one axis of size p per digit, and its flat
+    layout already puts entry k at index k.  The cost is
+    O(N + |box| log |box|).
     """
     pts = _point_list(points, bases)
     if not pts:
@@ -254,40 +218,18 @@ def weyl_sum_table(
     if total > effective_cap:
         raise BoxTooLarge(total, effective_cap)
 
-    n = len(pts)
+    cells = np.array(
+        [[monna_inverse(c) % m for c, m in zip(pt.coords, sizes)] for pt in pts],
+        dtype=np.int64,
+    )
+    H = np.zeros(sizes, dtype=complex)
+    np.add.at(H, tuple(cells.T), 1)
     if system == "padic":
-        coord_data = [
-            np.array(
-                [monna_inverse(pt.coords[i]) % sizes[i] for pt in pts],
-                dtype=np.int64,
-            )
-            for i in range(bases.dimension)
-        ]
-    else:
-        coord_data = [
-            np.array(
-                [[pt.coords[i].digit(j + 1) for j in range(g)] for pt in pts],
-                dtype=np.int64,
-            )
-            for i, g in enumerate(box.exponents)
-        ]
-
-    S = np.zeros(sizes if len(sizes) > 1 else sizes[0], dtype=complex)
-    n_chunk = max(1, _TABLE_CHUNK // max(sizes))
-    for n0 in range(0, n, n_chunk):
-        n1 = min(n0 + n_chunk, n)
-        if system == "padic":
-            mats = [
-                _padic_phase_rows(coord_data[i][n0:n1], p, g)
-                for i, (p, g) in enumerate(zip(bases.primes, box.exponents))
-            ]
-        else:
-            mats = [
-                _walsh_phase_rows(coord_data[i][n0:n1], p, g)
-                for i, (p, g) in enumerate(zip(bases.primes, box.exponents))
-            ]
-        _accumulate_table(S, mats)
-    return S
+        np.fft.ifftn(H, norm="forward", out=H)
+        return H[np.ix_(*(_full_reversal(p, g) for p, g in zip(bases.primes, box.exponents)))]
+    digit_axes = H.reshape([p for p, g in zip(bases.primes, box.exponents) for _ in range(g)])
+    np.fft.ifftn(digit_axes, norm="forward", out=digit_axes)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -601,27 +543,17 @@ def verify_weyl_bound(
         raise ValueError("n_points must be at least 1")
     pts = list(halton_stream(n_points, bases))
     S = weyl_sum_table(pts, bases, box, cap=cap)
-    abs_s = np.abs(S)
-    phi = [
-        [monna(k, p).value() for k in range(p**g)]
-        for p, g in zip(bases.primes, box.exponents)
-    ]
-    worst_ratio = -1.0
-    worst_index = None
-    violations = 0
-    for idx in np.ndindex(*abs_s.shape):
-        if not any(idx):
-            continue
-        total = Fraction(0)
-        for i, ki in enumerate(idx):
-            if ki:
-                total += phi[i][ki]
-        ratio = float(abs_s[idx]) * float(distance_to_nearest_integer(total))
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_index = idx
-        if ratio > 1.0 + RATIO_TOLERANCE:
-            violations += 1
+    # phi_p(k) = rev(k) / p**g, so over the common denominator B = prod p**g
+    # the summed phases are exact int64 numerators
+    B = S.size
+    phi = np.ix_(*(_full_reversal(p, g) * (B // p**g) for p, g in zip(bases.primes, box.exponents)))
+    num = sum(phi) % B
+    ratio = np.abs(S) * (np.minimum(num, B - num) / B)
+    ratio.flat[0] = -1.0  # the origin has no ceiling
+    worst = np.unravel_index(np.argmax(ratio), ratio.shape)
     return WeylCheckReport(
-        box, worst_ratio, IndexVector(tuple(int(i) for i in worst_index)), violations
+        box,
+        float(ratio[worst]),
+        IndexVector(tuple(int(i) for i in worst)),
+        int((ratio > 1.0 + RATIO_TOLERANCE).sum()),
     )

@@ -189,6 +189,16 @@ def test_output_file(tmp_path, capsys):
     assert content.splitlines()[0] == "n,x1,x1_dec"
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "bound", "--dim", "2", "--count", "4",
+                         "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out:")
+    assert not target.exists()
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     args = ("sweep", "--bases", "2,3", "--from", "1", "--to", "32", "--step", "pow2")
     _, first, _ = run(capsys, *args)

@@ -5,11 +5,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padiaphony import (
+    RATIO_TOLERANCE,
     BoxTooLarge,
     DiaphonyReport,
     DigitVector,
@@ -29,6 +31,7 @@ from padiaphony import (
     halton_diaphony_bound,
     halton_point,
     halton_stream,
+    monna,
     point_from_values,
     spectral_tail,
     truncated_spectral_sum,
@@ -114,6 +117,44 @@ def test_weyl_sum_table_three_dimensions():
         idx = (rng.randrange(4), rng.randrange(3), rng.randrange(5))
         expected = weyl_sum(pts, IndexVector(idx), b235)
         assert abs(table[idx] - expected) < 1e-12
+
+
+@st.composite
+def table_cases(draw):
+    """Ingested points in 1-3 dimensions with bases up to 11 (repeats
+    allowed), duplicate rows and dyadic or zero coordinates, and a box of
+    at most 128 index vectors unless its depths are all 1."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=1, max_size=3))
+    exps = [draw(st.integers(1, 3)) for _ in primes]
+    while math.prod(p**g for p, g in zip(primes, exps)) > 128 and max(exps) > 1:
+        i = max(range(len(exps)), key=lambda j: primes[j] ** exps[j] if exps[j] > 1 else 0)
+        exps[i] -= 1
+    bases = PrimeBases(tuple(primes))
+    value = st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from((0.0, 0.25, 0.5)))
+    rows = draw(st.lists(st.tuples(*(value for _ in primes)), min_size=1, max_size=8))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    pts = [point_from_values(row, bases) for row in rows]
+    return bases, pts, TruncationBox(tuple(exps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=table_cases())
+def test_weyl_sum_table_and_enclosure_on_ingested_points(case):
+    bases, pts, box = case
+    for system, phase_fn in (("padic", None), ("walsh", walsh_phase)):
+        table = weyl_sum_table(pts, bases, box, system=system)
+        assert table.shape == tuple(p**g for p, g in zip(bases.primes, box.exponents))
+        for idx in np.ndindex(*table.shape):
+            k = IndexVector(tuple(int(i) for i in idx))
+            if phase_fn is None:
+                expected = weyl_sum(pts, k, bases)
+            else:
+                expected = sum(char_product(k, x, bases, phase_fn) for x in pts)
+            assert abs(table[idx] - expected) < 1e-12
+    truth = diaphony_kernel(pts, bases, "exact").f_squared
+    lower, upper = diaphony_spectral(pts, bases, box).enclosure
+    assert lower <= truth + 1e-12
+    assert truth <= upper + 1e-12
 
 
 def test_box_cap_is_enforced():
@@ -428,3 +469,47 @@ def test_verify_weyl_bound_examples():
 def test_verify_weyl_bound_requires_distinct_bases():
     with pytest.raises(DuplicateBase):
         verify_weyl_bound(4, PrimeBases((3, 3)), TruncationBox((2, 2)))
+
+
+def _ceiling_check_oracle(n_points, bases, box):
+    """The per-index Fraction loop over the box, on the same Weyl-sum table:
+    (worst_ratio, worst_index, violations), ties going to the first index."""
+    pts = list(halton_stream(n_points, bases))
+    abs_s = np.abs(weyl_sum_table(pts, bases, box))
+    phi = [
+        [monna(k, p).value() for k in range(p**g)]
+        for p, g in zip(bases.primes, box.exponents)
+    ]
+    worst_ratio, worst_index, violations = -1.0, None, 0
+    for idx in np.ndindex(*abs_s.shape):
+        if not any(idx):
+            continue
+        total = sum((phi[i][ki] for i, ki in enumerate(idx) if ki), Fraction(0))
+        ratio = float(abs_s[idx]) * float(distance_to_nearest_integer(total))
+        if ratio > worst_ratio:
+            worst_ratio, worst_index = ratio, idx
+        if ratio > 1.0 + RATIO_TOLERANCE:
+            violations += 1
+    return worst_ratio, worst_index, violations
+
+
+@pytest.mark.parametrize(
+    "n_points, primes, exps",
+    [
+        (1, (3,), (2,)),  # |S| = 1, and ||4/9|| = ||5/9|| ties k = 4 with k = 7
+        (37, (2,), (6,)),
+        (1, (2, 3), (2, 2)),
+        (100, (2, 3), (5, 3)),
+        (256, (2, 3), (8, 5)),
+        (60, (2, 3, 5), (3, 2, 2)),
+        (7, (5, 7, 11), (1, 2, 1)),
+    ],
+)
+def test_verify_weyl_bound_equals_fraction_loop(n_points, primes, exps):
+    bases, box = validate_bases(primes), TruncationBox(exps)
+    rep = verify_weyl_bound(n_points, bases, box)
+    assert (rep.worst_ratio, rep.worst_index.indices, rep.violations) == _ceiling_check_oracle(
+        n_points, bases, box
+    )
+    if (n_points, primes) == (1, (3,)):
+        assert rep.worst_index.indices == (4,)
