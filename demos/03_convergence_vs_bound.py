@@ -3,7 +3,8 @@
 The squared diaphony of an N-point Halton prefix is provably at most
 c * (ln N)**s / N**2 + d / N**2.  A prefix sweep counts point pairs per
 digit cell once, for the largest N, so the whole table costs about as much
-as its last row.
+as its last row.  The prefix is built by ``halton_set`` as digit arrays,
+one vectorized divmod per digit, with no per-point objects.
 """
 
 import math
@@ -11,13 +12,13 @@ import math
 from padiaphony import (
     diaphony_kernel_prefixes,
     halton_diaphony_bound,
-    halton_stream,
+    halton_set,
     validate_bases,
 )
 
 bases = validate_bases([2, 3])
 sizes = [2**j for j in range(1, 13)]
-points = list(halton_stream(max(sizes), bases))
+points = halton_set(max(sizes), bases)
 reports = diaphony_kernel_prefixes(points, bases, sizes)
 
 print(f"Halton bases {bases.primes}:")

@@ -34,13 +34,14 @@ from .errors import (
     OutOfUnitInterval,
     ZeroIndex,
 )
-from .halton import MAX_INDEX, halton_point, halton_stream, validate_bases
+from .halton import MAX_INDEX, halton_point, halton_set, halton_stream, validate_bases
 from .kernel import centered_kernel_1d, kernel_value
 from .padic import (
     DigitVector,
     IndexVector,
     PhaseRational,
     Point,
+    PointSet,
     PrimeBases,
     char_phase_total,
     char_product,

@@ -20,7 +20,7 @@ from .diaphony import (
     worst_case_error,
 )
 from .errors import BoxTooLarge, DiaphonyError
-from .halton import halton_stream, validate_bases
+from .halton import halton_set, halton_stream, validate_bases
 from .padic import PrimeBases
 from .weights import TruncationBox
 
@@ -167,7 +167,7 @@ def cmd_halton(config: RunConfig) -> int:
 
 
 def cmd_diaphony(config: RunConfig) -> int:
-    points = list(halton_stream(config.count, config.bases, config.start))
+    points = halton_set(config.count, config.bases, config.start)
     if config.method == "spectral":
         report = diaphony_spectral(points, config.bases, config.box)
     else:
@@ -222,7 +222,7 @@ def _sweep_sizes(args) -> list[int]:
 
 
 def cmd_sweep(config: RunConfig, sizes: list[int]) -> int:
-    points = list(halton_stream(max(sizes), config.bases, config.start))
+    points = halton_set(max(sizes), config.bases, config.start)
     reports = diaphony_kernel_prefixes(points, config.bases, sizes)
     rows = []
     for n, report in zip(sizes, reports):

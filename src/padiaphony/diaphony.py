@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,15 +23,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoxTooLarge, DimensionMismatch, BaseMismatch, ZeroIndex
-from .halton import halton_stream
+from .halton import halton_set
+from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .kernel import kernel_value
 from .padic import (
     IndexVector,
     Point,
+    PointSet,
     PrimeBases,
+    _point_list,
     char_product,
     monna,
-    monna_inverse,
 )
 from .weights import TruncationBox, truncated_weight_mass, weight_mass
 
@@ -64,6 +67,8 @@ ENUMERATION_CAP = 1 << 22
 _HARD_BOX_LIMIT = 1 << 31
 # Weyl-sum ratios above 1 + RATIO_TOLERANCE count as violations.
 RATIO_TOLERANCE = 1e-9
+# Ratios within this relative distance of the largest tie for the worst index.
+_TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,17 +120,16 @@ class _KahanSum:
         self.total = t
 
 
-def _point_list(points, bases: PrimeBases) -> list[Point]:
-    pts = list(points)
-    for pt in pts:
-        if pt.dimension != bases.dimension:
-            raise DimensionMismatch(
-                f"point dimension {pt.dimension} != bases dimension {bases.dimension}"
+def _point_set(points, bases: PrimeBases) -> PointSet:
+    """The fast routes' single entry conversion: a PointSet passes through
+    once its bases match; anything else is an iterable of Points."""
+    if isinstance(points, PointSet):
+        if points.bases != bases:
+            raise BaseMismatch(
+                f"point set bases {points.bases.primes} != {bases.primes}"
             )
-        for c, p in zip(pt.coords, bases.primes):
-            if c.base != p:
-                raise BaseMismatch(f"coordinate base {c.base} does not match {p}")
-    return pts
+        return points
+    return PointSet.from_points(points, bases)
 
 
 def _check_box(box: TruncationBox, bases: PrimeBases) -> None:
@@ -184,7 +188,7 @@ def _weight_vector(p: int, g: int) -> np.ndarray:
 
 
 def weyl_sum_table(
-    points,
+    points: PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
     system: str = "padic",
@@ -192,9 +196,10 @@ def weyl_sum_table(
 ) -> np.ndarray:
     """All Weyl sums over the box, as a complex tensor indexed by k.
 
-    The tensor has shape ``(p_1**g_1, ..., p_s**g_s)`` and entry ``k`` equal
-    to ``sum_n w_k(x_n)`` for the chosen function system ("padic" or
-    "walsh"); the origin entry is the point count.
+    ``points`` is a PointSet or an iterable of Points.  The tensor has shape
+    ``(p_1**g_1, ..., p_s**g_s)`` and entry ``k`` equal to
+    ``sum_n w_k(x_n)`` for the chosen function system ("padic" or "walsh");
+    the origin entry is the point count.
 
     Both systems see a coordinate only through X = monna_inverse(x) mod p**g,
     so the table is one unnormalized inverse DFT of the point histogram on
@@ -206,9 +211,7 @@ def weyl_sum_table(
     layout already puts entry k at index k.  The cost is
     O(N + |box| log |box|).
     """
-    pts = _point_list(points, bases)
-    if not pts:
-        raise ValueError("at least one point is required")
+    ps = _point_set(points, bases)
     _check_box(box, bases)
     if system not in ("padic", "walsh"):
         raise ValueError(f"unknown function system {system!r}")
@@ -218,12 +221,11 @@ def weyl_sum_table(
     if total > effective_cap:
         raise BoxTooLarge(total, effective_cap)
 
-    cells = np.array(
-        [[monna_inverse(c) % m for c, m in zip(pt.coords, sizes)] for pt in pts],
-        dtype=np.int64,
-    )
+    # X mod p**g from the first g digit columns
+    heads = [d[:, :g] for d, g in zip(ps.digits, box.exponents)]
+    cells = tuple(h @ p ** np.arange(h.shape[1]) for h, p in zip(heads, bases.primes))
     H = np.zeros(sizes, dtype=complex)
-    np.add.at(H, tuple(cells.T), 1)
+    np.add.at(H, cells, 1)
     if system == "padic":
         np.fft.ifftn(H, norm="forward", out=H)
         return H[np.ix_(*(_full_reversal(p, g) for p, g in zip(bases.primes, box.exponents)))]
@@ -243,19 +245,6 @@ def weyl_sum_table(
 
 # Agreement length of two equal coordinates: they share every digit.
 _EQUAL = np.iinfo(np.int64).max
-
-
-def _coordinate_digits(pts: list[Point], i: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Coordinate i of every point: depth, zero-padded (N, depth) int64
-    digit matrix, and each point's position in lexicographic digit order."""
-    rows = [pt.coords[i].digits for pt in pts]
-    depth = max(1, max(map(len, rows)))  # a column to compare even when all are 0
-    digits = np.zeros((len(rows), depth), dtype=np.int64)
-    for r, row in enumerate(rows):
-        digits[r, : len(row)] = row
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[np.lexsort(digits.T[::-1])] = np.arange(len(rows))
-    return depth, digits, rank
 
 
 def _level_weight(p: int, depth: int, lo: int, hi: int) -> int:
@@ -319,29 +308,33 @@ def _kernel_report(n: int, pair_sum: Fraction, sig: int) -> DiaphonyReport:
     return DiaphonyReport(n, math.sqrt(f_squared), f_squared, "kernel")
 
 
-def diaphony_kernel_prefixes(points, bases: PrimeBases, prefix_sizes) -> list[DiaphonyReport]:
+def diaphony_kernel_prefixes(
+    points: PointSet | Iterable[Point], bases: PrimeBases, prefix_sizes
+) -> list[DiaphonyReport]:
     """Kernel reports for several prefix lengths from one exact count.
 
-    Every report equals ``diaphony_kernel`` on the corresponding prefix,
-    bitwise.  The pair sum is counted once over the longest prefix: a pair
-    m < m' enters every prefix longer than m', so a running count of earlier
-    points in each digit cell gives all prefix lengths at the cost of one.
+    ``points`` is a PointSet or an iterable of Points.  Every report equals
+    ``diaphony_kernel`` on the corresponding prefix, bitwise.  The pair sum
+    is counted once over the longest prefix: a pair m < m' enters every
+    prefix longer than m', so a running count of earlier points in each
+    digit cell gives all prefix lengths at the cost of one.
     """
-    pts = _point_list(points, bases)
+    ps = _point_set(points, bases)
     sizes = list(prefix_sizes)
     if not sizes:
         return []
     for nn in sizes:
-        if not 1 <= nn <= len(pts):
-            raise ValueError(f"prefix size {nn} outside 1..{len(pts)}")
+        if not 1 <= nn <= len(ps):
+            raise ValueError(f"prefix size {nn} outside 1..{len(ps)}")
     need = max(sizes)
-    head = pts[:need]
     coords = []
     scale = 1
-    for i, p in enumerate(bases.primes):
-        depth, digits, rank = _coordinate_digits(head, i)
-        coords.append((p, depth, digits, rank))
-        scale *= p**depth
+    for p, digits in zip(bases.primes, ps.digits):
+        head = digits[:need]
+        rank = np.empty(need, dtype=np.int64)  # position in lexicographic digit order
+        rank[np.lexsort(head.T[::-1])] = np.arange(need)
+        coords.append((p, head.shape[1], head, rank))
+        scale *= p ** head.shape[1]
     totals = np.zeros(len(sizes), dtype=object)
     _cell_pair_sums(
         coords, 0, np.arange(need), np.zeros(need, dtype=np.int64), 1,
@@ -354,7 +347,9 @@ def diaphony_kernel_prefixes(points, bases: PrimeBases, prefix_sizes) -> list[Di
     ]
 
 
-def diaphony_kernel(points, bases: PrimeBases, mode: str = "fast") -> DiaphonyReport:
+def diaphony_kernel(
+    points: PointSet | Iterable[Point], bases: PrimeBases, mode: str = "fast"
+) -> DiaphonyReport:
     """Diaphony via the closed-form pair kernel.
 
     Both modes compute the squared diaphony as one exact rational and round
@@ -362,17 +357,19 @@ def diaphony_kernel(points, bases: PrimeBases, mode: str = "fast") -> DiaphonyRe
 
     fast  -- counts point pairs per digit cell (see
              ``diaphony_kernel_prefixes``): integer work on digit arrays,
-             near-linear in N for well-spread points, any bases.
+             near-linear in N for well-spread points, any bases.  Takes a
+             PointSet or an iterable of Points.
     exact -- the full O(N**2) double sum of ``kernel_value`` in rationals;
-             the oracle path.
+             the oracle path.  Takes Points only.
     """
+    if mode == "fast":
+        ps = _point_set(points, bases)
+        return diaphony_kernel_prefixes(ps, bases, [len(ps)])[0]
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     pts = _point_list(points, bases)
     if not pts:
         raise ValueError("at least one point is required")
-    if mode == "fast":
-        return diaphony_kernel_prefixes(pts, bases, [len(pts)])[0]
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     total = Fraction(0)
     for x in pts:
         for y in pts:
@@ -397,18 +394,20 @@ def _weighted_square_tensor(S: np.ndarray, bases: PrimeBases, box: TruncationBox
 
 
 def truncated_spectral_sum(
-    points,
+    points: PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
     system: str = "padic",
     cap: int = ENUMERATION_CAP,
 ) -> float:
     """The boxed part of the squared diaphony:
-    (1/(sigma - 1)) * sum over nonzero boxed k of weight(k) * |S(k)/N|**2."""
-    pts = _point_list(points, bases)
-    S = weyl_sum_table(pts, bases, box, system=system, cap=cap)
+    (1/(sigma - 1)) * sum over nonzero boxed k of weight(k) * |S(k)/N|**2.
+
+    ``points`` is a PointSet or an iterable of Points."""
+    ps = _point_set(points, bases)
+    S = weyl_sum_table(ps, bases, box, system=system, cap=cap)
     M = _weighted_square_tensor(S, bases, box)
-    n = len(pts)
+    n = len(ps)
     return float(M.sum()) / (n * n) / (weight_mass(bases) - 1)
 
 
@@ -419,24 +418,25 @@ def spectral_tail(bases: PrimeBases, box: TruncationBox) -> Fraction:
 
 
 def diaphony_spectral(
-    points,
+    points: PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
     cap: int = ENUMERATION_CAP,
 ) -> DiaphonyReport:
     """Diaphony via truncated spectral sums, with a rigorous enclosure.
 
-    ``lower`` is the boxed sum; ``upper`` adds the exact analytic tail, and
-    the true squared diaphony always lies between them.  The reported point
-    value is the midpoint of the enclosure.
+    ``points`` is a PointSet or an iterable of Points.  ``lower`` is the
+    boxed sum; ``upper`` adds the exact analytic tail, and the true squared
+    diaphony always lies between them.  The reported point value is the
+    midpoint of the enclosure.
     """
-    pts = _point_list(points, bases)
-    lower = truncated_spectral_sum(pts, bases, box, system="padic", cap=cap)
+    ps = _point_set(points, bases)
+    lower = truncated_spectral_sum(ps, bases, box, system="padic", cap=cap)
     tail = spectral_tail(bases, box)
     upper = lower + float(tail)
     f_squared = _clamp_unit(lower + float(tail) / 2)
     return DiaphonyReport(
-        len(pts),
+        len(ps),
         math.sqrt(f_squared),
         f_squared,
         "spectral",
@@ -446,21 +446,22 @@ def diaphony_spectral(
 
 
 def enclosure_grid(
-    points,
+    points: PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
     cap: int = ENUMERATION_CAP,
 ) -> dict[tuple[int, ...], tuple[float, float]]:
     """Enclosures for every sub-box g' <= box, from a single Weyl-sum table.
 
-    Weyl sums and index weights do not depend on the box, so the enclosure
-    for each smaller box is a partial sum of one weighted tensor; this makes
-    whole truncation sweeps cost barely more than their largest member.
+    ``points`` is a PointSet or an iterable of Points.  Weyl sums and index
+    weights do not depend on the box, so the enclosure for each smaller box
+    is a partial sum of one weighted tensor; this makes whole truncation
+    sweeps cost barely more than their largest member.
     """
-    pts = _point_list(points, bases)
-    S = weyl_sum_table(pts, bases, box, cap=cap)
+    ps = _point_set(points, bases)
+    S = weyl_sum_table(ps, bases, box, cap=cap)
     M = _weighted_square_tensor(S, bases, box)
-    n = len(pts)
+    n = len(ps)
     sig = weight_mass(bases)
     out = {}
     for exps in itertools.product(*(range(1, g + 1) for g in box.exponents)):
@@ -525,6 +526,14 @@ def weyl_sum_bound(k: IndexVector, bases: PrimeBases) -> Fraction:
     return 1 / distance_to_nearest_integer(total)
 
 
+def _first_near_max(ratio: np.ndarray) -> tuple[int, ...]:
+    """The first index in C order whose ratio is within a relative
+    _TIE_TOLERANCE of the largest ratio."""
+    top = ratio.max()
+    first = np.argmax(ratio >= top - _TIE_TOLERANCE * top)
+    return tuple(int(i) for i in np.unravel_index(first, ratio.shape))
+
+
 def verify_weyl_bound(
     n_points: int,
     bases: PrimeBases,
@@ -535,14 +544,15 @@ def verify_weyl_bound(
 
     The Halton prefix is generated internally.  Each index records the ratio
     |S(k)| * ||sum_j phi(k_j)||; ratios above 1 + RATIO_TOLERANCE count as
-    violations.
+    violations.  The reported worst index is the first in C order whose
+    ratio is within a relative 1e-9 of the largest, so an exact tie does not
+    hang on the last bits of the FFT.
     """
     bases.require_distinct()
     _check_box(box, bases)
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    pts = list(halton_stream(n_points, bases))
-    S = weyl_sum_table(pts, bases, box, cap=cap)
+    S = weyl_sum_table(halton_set(n_points, bases), bases, box, cap=cap)
     # phi_p(k) = rev(k) / p**g, so over the common denominator B = prod p**g
     # the summed phases are exact int64 numerators
     B = S.size
@@ -550,10 +560,9 @@ def verify_weyl_bound(
     num = sum(phi) % B
     ratio = np.abs(S) * (np.minimum(num, B - num) / B)
     ratio.flat[0] = -1.0  # the origin has no ceiling
-    worst = np.unravel_index(np.argmax(ratio), ratio.shape)
     return WeylCheckReport(
         box,
-        float(ratio[worst]),
-        IndexVector(tuple(int(i) for i in worst)),
+        float(ratio.max()),
+        IndexVector(_first_near_max(ratio)),
         int((ratio > 1.0 + RATIO_TOLERANCE).sum()),
     )

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import CountOverflow, DuplicateBase, EmptyBases, NonPrimeBase
-from .padic import Point, PrimeBases, is_prime, monna
+import numpy as np
 
-__all__ = ["MAX_INDEX", "validate_bases", "halton_point", "halton_stream"]
+from .errors import CountOverflow, DuplicateBase, EmptyBases, NonPrimeBase
+from .padic import Point, PointSet, PrimeBases, is_prime, monna
+
+__all__ = ["MAX_INDEX", "validate_bases", "halton_point", "halton_stream", "halton_set"]
 
 # Indices are confined to 64 bits; larger ranges are rejected, not wrapped.
 MAX_INDEX = 2**63 - 1
@@ -37,8 +39,7 @@ def halton_point(n: int, bases: PrimeBases) -> Point:
     return Point(tuple(monna(n, p) for p in bases.primes))
 
 
-def halton_stream(count: int, bases: PrimeBases, start: int = 0) -> Iterator[Point]:
-    """Points start, ..., start + count - 1, generated in order."""
+def _check_segment(count: int, start: int) -> None:
     if count < 1:
         raise ValueError("count must be at least 1")
     if start < 0:
@@ -48,8 +49,37 @@ def halton_stream(count: int, bases: PrimeBases, start: int = 0) -> Iterator[Poi
             f"indices up to {start + count - 1} exceed the supported range"
         )
 
+
+def halton_stream(count: int, bases: PrimeBases, start: int = 0) -> Iterator[Point]:
+    """Points start, ..., start + count - 1, generated in order."""
+    _check_segment(count, start)
+
     def generate() -> Iterator[Point]:
         for n in range(start, start + count):
             yield halton_point(n, bases)
 
     return generate()
+
+
+def halton_set(count: int, bases: PrimeBases, start: int = 0) -> PointSet:
+    """Points start, ..., start + count - 1 as one PointSet.
+
+    The digits of coordinate i are the base-p_i digits of n, least
+    significant first, so each column is one vectorized divmod over the
+    segment; the depth is the digit count of the last index.
+    """
+    _check_segment(count, start)
+    last = start + count - 1
+    index = start + np.arange(count, dtype=np.int64)  # never past MAX_INDEX
+    mats = []
+    for p in bases.primes:
+        depth, m = 1, last
+        while m >= p:
+            m //= p
+            depth += 1
+        n = index
+        digits = np.empty((count, depth), dtype=np.int64)
+        for j in range(depth):
+            n, digits[:, j] = np.divmod(n, p)
+        mats.append(digits)
+    return PointSet(bases, tuple(mats))

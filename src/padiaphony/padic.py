@@ -9,10 +9,13 @@ phase is finally converted to a complex number.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     BaseMismatch,
@@ -25,6 +28,7 @@ __all__ = [
     "DigitVector",
     "PhaseRational",
     "Point",
+    "PointSet",
     "PrimeBases",
     "IndexVector",
     "is_prime",
@@ -200,6 +204,71 @@ class PrimeBases:
             if p in seen:
                 raise DuplicateBase(p)
             seen.add(p)
+
+
+def _point_list(points, bases: PrimeBases) -> list[Point]:
+    """The points as a list, each checked against the bases."""
+    pts = list(points)
+    for pt in pts:
+        if pt.dimension != bases.dimension:
+            raise DimensionMismatch(
+                f"point dimension {pt.dimension} != bases dimension {bases.dimension}"
+            )
+        for c, p in zip(pt.coords, bases.primes):
+            if c.base != p:
+                raise BaseMismatch(f"coordinate base {c.base} does not match {p}")
+    return pts
+
+
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """N points in the unit cube as digit arrays, one matrix per dimension.
+
+    ``digits[i]`` is an ``(N, depth_i)`` int64 matrix whose column j holds
+    each point's coefficient of ``p_i**-(j+1)``, zero-padded; depth_i >= 1.
+    Digits rather than reflected integers X = monna_inverse(x): at the
+    default ingest depth X can pass int64 for bases above 1024 (65537 needs
+    64 bits), and the kernel route compares digit columns anyway.
+    """
+
+    bases: PrimeBases
+    digits: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        digits = tuple(self.digits)
+        if len(digits) != self.bases.dimension:
+            raise DimensionMismatch(
+                f"{len(digits)} digit matrices for {self.bases.dimension} bases"
+            )
+        for m, p in zip(digits, self.bases.primes):
+            if m.dtype != np.int64 or m.ndim != 2 or m.shape[1] < 1:
+                raise ValueError("digit matrices must be 2-d int64 with a column")
+            if m.shape[0] != digits[0].shape[0] or m.shape[0] < 1:
+                raise ValueError("digit matrices must share a positive row count")
+            if m.min() < 0 or m.max() >= p:
+                raise ValueError(f"digit out of range for base {p}")
+        object.__setattr__(self, "digits", digits)
+
+    def __len__(self) -> int:
+        return self.digits[0].shape[0]
+
+    @classmethod
+    def from_points(cls, points, bases: PrimeBases) -> PointSet:
+        """The digit arrays of a nonempty iterable of Points in these bases."""
+        pts = _point_list(points, bases)
+        if not pts:
+            raise ValueError("at least one point is required")
+        mats = []
+        for i in range(bases.dimension):
+            rows = [pt.coords[i].digits for pt in pts]
+            depth = max(1, max(map(len, rows)))
+            padded = itertools.chain.from_iterable(
+                row + (0,) * (depth - len(row)) for row in rows
+            )
+            mats.append(
+                np.fromiter(padded, np.int64, len(rows) * depth).reshape(-1, depth)
+            )
+        return cls(bases, tuple(mats))
 
 
 @dataclass(frozen=True)

@@ -210,3 +210,30 @@ def test_count_validation(capsys):
     code, _, err = run(capsys, "diaphony", "--bases", "2", "--count", "0")
     assert code == 2
     assert "--count" in err
+
+
+def test_segments_ending_at_max_index(capsys):
+    last = "9223372036854775807"  # MAX_INDEX
+    code, out, _ = run(capsys, "diaphony", "--bases", "2", "--count", "2",
+                       "--start", "9223372036854775806")
+    assert code == 0
+    assert out == "N,F,F2,e\n2,0.5,0.25,0.70710678118654757\n"
+    code, out, _ = run(capsys, "sweep", "--bases", "2,3", "--from", "1", "--to", "4",
+                       "--start", "9223372036854775804")
+    assert code == 0
+    assert out == (
+        "N,F,F2,bound_F2,ratio\n"
+        "1,1,1,12,0.083333333333333329\n"
+        "2,0.67419986246324204,0.45454545454545453,10.832234242467836,0.041962299223867086\n"
+        "3,0.5222329678670935,0.27272727272727271,10.077957174158596,0.027061761427860261\n"
+        "4,0.42640143271122088,0.18181818181818182,8.5822342424678357,0.021185413574297839\n"
+    )
+    for argv in (
+        ("diaphony", "--bases", "2", "--count", "2", "--start", last),
+        ("sweep", "--bases", "2,3", "--from", "1", "--to", "4",
+         "--start", "9223372036854775805"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceed the supported range" in err

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padiaphony import (
+    MAX_INDEX,
     RATIO_TOLERANCE,
+    BaseMismatch,
     BoxTooLarge,
     DiaphonyReport,
     DigitVector,
@@ -19,6 +21,7 @@ from padiaphony import (
     DuplicateBase,
     IndexVector,
     Point,
+    PointSet,
     PrimeBases,
     TruncationBox,
     ZeroIndex,
@@ -30,6 +33,7 @@ from padiaphony import (
     enclosure_grid,
     halton_diaphony_bound,
     halton_point,
+    halton_set,
     halton_stream,
     monna,
     point_from_values,
@@ -43,6 +47,7 @@ from padiaphony import (
     weyl_sum_table,
     worst_case_error,
 )
+from padiaphony.diaphony import _first_near_max
 
 B2 = validate_bases([2])
 B3 = validate_bases([3])
@@ -389,6 +394,72 @@ def test_truncated_spectral_sum_rejects_unknown_system():
         truncated_spectral_sum(pts, B2, TruncationBox((1,)), system="fourier")
 
 
+# --- PointSet input
+
+
+def _assert_forms_agree(pts, ps, bases, box, sizes):
+    """Every fast route gives bitwise the same result on both point forms."""
+    assert diaphony_kernel_prefixes(ps, bases, sizes) == diaphony_kernel_prefixes(pts, bases, sizes)
+    assert diaphony_kernel(ps, bases) == diaphony_kernel(pts, bases)
+    for system in ("padic", "walsh"):
+        a = weyl_sum_table(ps, bases, box, system=system)
+        b = weyl_sum_table(pts, bases, box, system=system)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert truncated_spectral_sum(ps, bases, box, system) == truncated_spectral_sum(
+            pts, bases, box, system
+        )
+    assert enclosure_grid(ps, bases, box) == enclosure_grid(pts, bases, box)
+    assert diaphony_spectral(ps, bases, box) == diaphony_spectral(pts, bases, box)
+
+
+@pytest.mark.parametrize(
+    "primes, count, start, exps",
+    [
+        ((2, 3), 100, 0, (4, 3)),
+        ((2, 3, 5), 64, 2**40 + 17, (3, 2, 1)),
+        ((7, 11), 30, MAX_INDEX - 29, (2, 2)),
+    ],
+)
+def test_fast_routes_agree_on_halton_set_and_points(primes, count, start, exps):
+    bases = validate_bases(primes)
+    pts = list(halton_stream(count, bases, start))
+    ps = halton_set(count, bases, start)
+    _assert_forms_agree(pts, ps, bases, TruncationBox(exps), [1, 2, count // 3, count])
+
+
+def test_fast_routes_agree_on_ingested_point_set():
+    bases = validate_bases([2, 3, 5])
+    rng = random.Random(26)
+    rows = [[rng.random() for _ in range(3)] for _ in range(40)]
+    rows += [rows[3], rows[3], rows[17], [0.0, 0.5, 0.0]]
+    pts = [point_from_values(row, bases) for row in rows]
+    ps = PointSet.from_points(pts, bases)
+    assert len(ps) == len(pts)
+    _assert_forms_agree(pts, ps, bases, TruncationBox((3, 2, 1)), [1, 5, 41, 44])
+
+
+def test_point_set_conversion_checks():
+    pt = halton_point(5, B23)
+    with pytest.raises(DimensionMismatch):
+        PointSet.from_points([pt], B2)
+    with pytest.raises(BaseMismatch):
+        PointSet.from_points([pt], PrimeBases((2, 5)))
+    with pytest.raises(ValueError):
+        PointSet.from_points([], B2)
+    ps = halton_set(4, B23)
+    b25, box = PrimeBases((2, 5)), TruncationBox((2, 2))
+    for call in (
+        lambda: diaphony_kernel(ps, b25),
+        lambda: diaphony_kernel_prefixes(ps, b25, [2]),
+        lambda: weyl_sum_table(ps, b25, box),
+        lambda: truncated_spectral_sum(ps, b25, box),
+        lambda: diaphony_spectral(ps, b25, box),
+        lambda: enclosure_grid(ps, b25, box),
+    ):
+        with pytest.raises(BaseMismatch):
+            call()
+
+
 # --- identities and bounds
 
 
@@ -473,23 +544,25 @@ def test_verify_weyl_bound_requires_distinct_bases():
 
 def _ceiling_check_oracle(n_points, bases, box):
     """The per-index Fraction loop over the box, on the same Weyl-sum table:
-    (worst_ratio, worst_index, violations), ties going to the first index."""
+    (worst_ratio, worst_index, violations), the worst index being the first
+    whose ratio is within a relative 1e-9 of the largest."""
     pts = list(halton_stream(n_points, bases))
     abs_s = np.abs(weyl_sum_table(pts, bases, box))
     phi = [
         [monna(k, p).value() for k in range(p**g)]
         for p, g in zip(bases.primes, box.exponents)
     ]
-    worst_ratio, worst_index, violations = -1.0, None, 0
+    ratios, violations = {}, 0
     for idx in np.ndindex(*abs_s.shape):
         if not any(idx):
             continue
         total = sum((phi[i][ki] for i, ki in enumerate(idx) if ki), Fraction(0))
         ratio = float(abs_s[idx]) * float(distance_to_nearest_integer(total))
-        if ratio > worst_ratio:
-            worst_ratio, worst_index = ratio, idx
+        ratios[idx] = ratio
         if ratio > 1.0 + RATIO_TOLERANCE:
             violations += 1
+    worst_ratio = max(ratios.values())
+    worst_index = next(i for i, r in ratios.items() if r >= worst_ratio - 1e-9 * worst_ratio)
     return worst_ratio, worst_index, violations
 
 
@@ -513,3 +586,15 @@ def test_verify_weyl_bound_equals_fraction_loop(n_points, primes, exps):
     )
     if (n_points, primes) == (1, (3,)):
         assert rep.worst_index.indices == (4,)
+
+
+def test_worst_index_does_not_follow_the_last_bit_of_a_tie():
+    r = 0.49506107445618286
+    for a, b in ((r, np.nextafter(r, 1.0)), (np.nextafter(r, 1.0), r)):
+        ratio = np.full((3, 4), 0.25)
+        ratio[0, 0] = -1.0
+        ratio[1, 2], ratio[2, 1] = a, b
+        assert _first_near_max(ratio) == (1, 2)
+    # (5, 0, 14) and (6, 0, 15) are a conjugate pair with equal exact ratios
+    rep = verify_weyl_bound(100, validate_bases([2, 3, 5]), TruncationBox((4, 3, 2)))
+    assert rep.worst_index.indices == (5, 0, 14)

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padiaphony import (
     MAX_INDEX,
@@ -10,8 +13,11 @@ from padiaphony import (
     DuplicateBase,
     EmptyBases,
     NonPrimeBase,
+    PointSet,
     halton_point,
+    halton_set,
     halton_stream,
+    is_prime,
     monna_inverse,
     validate_bases,
 )
@@ -92,3 +98,42 @@ def test_stream_argument_validation():
         halton_stream(1, bases, start=-1)
     with pytest.raises(ValueError):
         halton_point(-1, bases)
+
+
+def test_set_argument_validation():
+    bases = validate_bases([2])
+    with pytest.raises(ValueError):
+        halton_set(0, bases)
+    with pytest.raises(ValueError):
+        halton_set(1, bases, start=-1)
+    with pytest.raises(CountOverflow):
+        halton_set(2, bases, start=MAX_INDEX)
+    ps = halton_set(1, bases, start=MAX_INDEX)
+    assert len(ps) == 1
+    assert ps.digits[0].tolist() == [[1] * 63]
+
+
+@st.composite
+def segments(draw):
+    """1-4 distinct primes up to 65537 and a segment inside [0, MAX_INDEX]."""
+    primes = draw(st.lists(st.integers(2, 65537).filter(is_prime),
+                           min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(1, 40))
+    top = MAX_INDEX - count + 1
+    start = draw(st.one_of(st.integers(0, 300), st.integers(0, top), st.just(top)))
+    return validate_bases(primes), count, start
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=segments())
+@example(case=(validate_bases([2, 65537]), 5, MAX_INDEX - 4))
+@example(case=(validate_bases([3, 2]), 9, 0))
+def test_set_equals_converted_stream(case):
+    bases, count, start = case
+    got = halton_set(count, bases, start)
+    want = PointSet.from_points(halton_stream(count, bases, start), bases)
+    assert len(got) == count
+    assert got.bases == bases
+    for a, b in zip(got.digits, want.digits):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
