@@ -12,7 +12,6 @@ bound for Halton prefixes, and the per-index Weyl-sum ceiling check.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from collections.abc import Iterable
@@ -22,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BoxTooLarge, DimensionMismatch, BaseMismatch, ZeroIndex
-from .halton import halton_set
+from .errors import BoxTooLarge, CountOverflow, DimensionMismatch, BaseMismatch, ZeroIndex
+from .halton import MAX_INDEX, halton_set
 from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .kernel import kernel_value
 from .padic import (
@@ -60,11 +59,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Boxes enumerating more index vectors than this are rejected.
+# Boxes enumerating more index vectors than this are rejected.  The cap is
+# below 2**31, so the Weyl-ceiling numerators over B = prod p**g and their
+# sums stay inside int64.
 ENUMERATION_CAP = 1 << 22
-# Absolute ceiling regardless of a caller-raised cap: with B = prod p**g at
-# most 2**31, the Weyl-ceiling numerators and their sums stay inside int64.
-_HARD_BOX_LIMIT = 1 << 31
 # Weyl-sum ratios above 1 + RATIO_TOLERANCE count as violations.
 RATIO_TOLERANCE = 1e-9
 # Ratios within this relative distance of the largest tie for the worst index.
@@ -133,10 +131,16 @@ def _point_set(points, bases: PrimeBases) -> PointSet:
 
 
 def _check_box(box: TruncationBox, bases: PrimeBases) -> None:
+    """The one box check.  p**g >= 2**g, so an exponent of
+    ENUMERATION_CAP.bit_length() or more is rejected before p**g is built."""
     if box.dimension != bases.dimension:
         raise DimensionMismatch(
             f"box dimension {box.dimension} != bases dimension {bases.dimension}"
         )
+    if max(box.exponents) >= ENUMERATION_CAP.bit_length() or math.prod(
+        p**g for p, g in zip(bases.primes, box.exponents)
+    ) > ENUMERATION_CAP:
+        raise BoxTooLarge(box.exponents, ENUMERATION_CAP)
 
 
 def _clamp_unit(raw: float) -> float:
@@ -177,22 +181,11 @@ def _full_reversal(p: int, g: int) -> np.ndarray:
     return rev
 
 
-@lru_cache(maxsize=64)
-def _weight_vector(p: int, g: int) -> np.ndarray:
-    """Float weights for all k < p**g: 1 at 0, p**-2t on each digit block."""
-    w = np.ones(p**g)
-    for t in range(g):
-        w[p**t : p ** (t + 1)] = 1.0 / p ** (2 * t)
-    w.setflags(write=False)
-    return w
-
-
 def weyl_sum_table(
     points: PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
     system: str = "padic",
-    cap: int = ENUMERATION_CAP,
 ) -> np.ndarray:
     """All Weyl sums over the box, as a complex tensor indexed by k.
 
@@ -209,17 +202,13 @@ def weyl_sum_table(
     Walsh functions pair the digits of k with those of X, so the Walsh table
     is the same transform over one axis of size p per digit, and its flat
     layout already puts entry k at index k.  The cost is
-    O(N + |box| log |box|).
+    O(N + |box| log |box|); boxes over ENUMERATION_CAP raise BoxTooLarge.
     """
     ps = _point_set(points, bases)
     _check_box(box, bases)
     if system not in ("padic", "walsh"):
         raise ValueError(f"unknown function system {system!r}")
     sizes = [p**g for p, g in zip(bases.primes, box.exponents)]
-    total = math.prod(sizes)
-    effective_cap = min(cap, _HARD_BOX_LIMIT)
-    if total > effective_cap:
-        raise BoxTooLarge(total, effective_cap)
 
     # X mod p**g from the first g digit columns
     heads = [d[:, :g] for d, g in zip(ps.digits, box.exponents)]
@@ -381,16 +370,23 @@ def diaphony_kernel(
 # Spectral route
 
 
-def _weighted_square_tensor(S: np.ndarray, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
-    """|S(k)|**2 scaled by the index weights, with the origin zeroed out."""
-    M = np.abs(S) ** 2
-    s = bases.dimension
-    for i, (p, g) in enumerate(zip(bases.primes, box.exponents)):
-        shape = [1] * s
-        shape[i] = -1
-        M *= _weight_vector(p, g).reshape(shape)
-    M[(0,) * s] = 0.0
-    return M
+def _sub_box_sums(S: np.ndarray, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
+    """sum of weight(k) * |S(k)|**2 over the nonzero k of every sub-box.
+
+    Entry g' - 1 is the sum over the sub-box g' <= box.  The weight of k_i is
+    1 on k_i < p_i and p_i**-2t on p_i**t <= k_i < p_i**(t+1), so along each
+    axis the energies are summed per weight block, scaled by the block
+    weight, and accumulated over the blocks.
+    """
+    E = np.abs(S) ** 2
+    E.flat[0] = 0.0
+    for axis, (p, g) in enumerate(zip(bases.primes, box.exponents)):
+        shape = [1] * E.ndim
+        shape[axis] = g
+        weights = np.array([1.0 / p ** (2 * t) for t in range(g)]).reshape(shape)
+        starts = [0] + [p**t for t in range(1, g)]
+        E = np.cumsum(np.add.reduceat(E, starts, axis=axis) * weights, axis=axis)
+    return E
 
 
 def truncated_spectral_sum(
@@ -398,17 +394,18 @@ def truncated_spectral_sum(
     bases: PrimeBases,
     box: TruncationBox,
     system: str = "padic",
-    cap: int = ENUMERATION_CAP,
 ) -> float:
     """The boxed part of the squared diaphony:
     (1/(sigma - 1)) * sum over nonzero boxed k of weight(k) * |S(k)/N|**2.
 
-    ``points`` is a PointSet or an iterable of Points."""
+    ``points`` is a PointSet or an iterable of Points.  The weighted sum is
+    the full-box entry of the block-energy reduction that ``enclosure_grid``
+    reads for every sub-box."""
     ps = _point_set(points, bases)
-    S = weyl_sum_table(ps, bases, box, system=system, cap=cap)
-    M = _weighted_square_tensor(S, bases, box)
+    S = weyl_sum_table(ps, bases, box, system=system)
     n = len(ps)
-    return float(M.sum()) / (n * n) / (weight_mass(bases) - 1)
+    total = _sub_box_sums(S, bases, box)[(-1,) * bases.dimension]
+    return float(total) / (n * n) / (weight_mass(bases) - 1)
 
 
 def spectral_tail(bases: PrimeBases, box: TruncationBox) -> Fraction:
@@ -421,17 +418,16 @@ def diaphony_spectral(
     points: PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
-    cap: int = ENUMERATION_CAP,
 ) -> DiaphonyReport:
     """Diaphony via truncated spectral sums, with a rigorous enclosure.
 
     ``points`` is a PointSet or an iterable of Points.  ``lower`` is the
-    boxed sum; ``upper`` adds the exact analytic tail, and the true squared
-    diaphony always lies between them.  The reported point value is the
-    midpoint of the enclosure.
+    boxed sum (``truncated_spectral_sum``); ``upper`` adds the exact
+    analytic tail, and the true squared diaphony always lies between them.
+    The reported point value is the midpoint of the enclosure.
     """
     ps = _point_set(points, bases)
-    lower = truncated_spectral_sum(ps, bases, box, system="padic", cap=cap)
+    lower = truncated_spectral_sum(ps, bases, box, system="padic")
     tail = spectral_tail(bases, box)
     upper = lower + float(tail)
     f_squared = _clamp_unit(lower + float(tail) / 2)
@@ -449,24 +445,22 @@ def enclosure_grid(
     points: PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
-    cap: int = ENUMERATION_CAP,
 ) -> dict[tuple[int, ...], tuple[float, float]]:
     """Enclosures for every sub-box g' <= box, from a single Weyl-sum table.
 
     ``points`` is a PointSet or an iterable of Points.  Weyl sums and index
-    weights do not depend on the box, so the enclosure for each smaller box
-    is a partial sum of one weighted tensor; this makes whole truncation
-    sweeps cost barely more than their largest member.
+    weights do not depend on the box, so one block-energy reduction of one
+    table gives every sub-box's boxed sum; the entry for ``box`` itself
+    equals ``diaphony_spectral(points, bases, box).enclosure`` bitwise.
     """
     ps = _point_set(points, bases)
-    S = weyl_sum_table(ps, bases, box, cap=cap)
-    M = _weighted_square_tensor(S, bases, box)
+    sums = _sub_box_sums(weyl_sum_table(ps, bases, box), bases, box)
     n = len(ps)
     sig = weight_mass(bases)
     out = {}
-    for exps in itertools.product(*(range(1, g + 1) for g in box.exponents)):
-        slices = tuple(slice(0, p**g) for p, g in zip(bases.primes, exps))
-        lower = float(M[slices].sum()) / (n * n) / (sig - 1)
+    for idx in np.ndindex(sums.shape):
+        exps = tuple(i + 1 for i in idx)
+        lower = float(sums[idx]) / (n * n) / (sig - 1)
         tail = spectral_tail(bases, TruncationBox(exps))
         out[exps] = (lower, lower + float(tail))
     return out
@@ -486,11 +480,13 @@ def halton_diaphony_bound(bases: PrimeBases, n_points: int) -> BoundReport:
 
     bound = c * (ln N)**s / N**2 + d / N**2 with
     c = (1/(sigma - 1)) * (pi**2/3) * prod_j (1 + 2 p_j**2 / ln p_j) and
-    d = 2 s max_i p_i.  Natural logarithms throughout.
+    d = 2 s max_i p_i, for N <= 2**63.  Natural logarithms throughout.
     """
     bases.require_distinct()
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
+    if n_points > MAX_INDEX + 1:
+        raise CountOverflow("n_points exceeds 2**63, the supported 64-bit index space")
     sig = weight_mass(bases)
     s = bases.dimension
     prod = 1.0
@@ -538,7 +534,6 @@ def verify_weyl_bound(
     n_points: int,
     bases: PrimeBases,
     box: TruncationBox,
-    cap: int = ENUMERATION_CAP,
 ) -> WeylCheckReport:
     """Check |weyl_sum(k)| <= its ceiling for every nonzero k in the box.
 
@@ -552,7 +547,7 @@ def verify_weyl_bound(
     _check_box(box, bases)
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    S = weyl_sum_table(halton_set(n_points, bases), bases, box, cap=cap)
+    S = weyl_sum_table(halton_set(n_points, bases), bases, box)
     # phi_p(k) = rev(k) / p**g, so over the common denominator B = prod p**g
     # the summed phases are exact int64 numerators
     B = S.size

@@ -49,12 +49,13 @@ class CountOverflow(DiaphonyError):
 
 
 class BoxTooLarge(DiaphonyError):
-    """A truncation box enumerates more indices than the configured cap."""
+    """A truncation box enumerates more indices than the cap; the message
+    names the exponents, never the size prod p**g, which may be too large."""
 
-    def __init__(self, size, cap):
-        self.size = size
+    def __init__(self, exponents, cap):
+        self.exponents = exponents
         self.cap = cap
-        super().__init__(f"box enumerates {size} indices, cap is {cap}")
+        super().__init__(f"box {exponents} enumerates more indices than the cap {cap}")
 
 
 class ZeroIndex(DiaphonyError):

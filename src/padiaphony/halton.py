@@ -6,8 +6,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CountOverflow, DuplicateBase, EmptyBases, NonPrimeBase
-from .padic import Point, PointSet, PrimeBases, is_prime, monna
+from .errors import CountOverflow
+from .padic import Point, PointSet, PrimeBases, monna
 
 __all__ = ["MAX_INDEX", "validate_bases", "halton_point", "halton_stream", "halton_set"]
 
@@ -16,18 +16,10 @@ MAX_INDEX = 2**63 - 1
 
 
 def validate_bases(raw) -> PrimeBases:
-    """Check a raw base list: nonempty, prime, pairwise distinct."""
-    entries = list(raw)
-    if not entries:
-        raise EmptyBases()
-    seen = set()
-    for b in entries:
-        if not isinstance(b, int) or isinstance(b, bool) or not is_prime(b):
-            raise NonPrimeBase(b)
-        if b in seen:
-            raise DuplicateBase(b)
-        seen.add(b)
-    return PrimeBases(tuple(entries))
+    """Check a raw base list: nonempty, all prime, then pairwise distinct."""
+    bases = PrimeBases(tuple(raw))
+    bases.require_distinct()
+    return bases
 
 
 def halton_point(n: int, bases: PrimeBases) -> Point:

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import (
     BaseMismatch,
     DimensionMismatch,
+    DuplicateBase,
+    EmptyBases,
     NonPrimeBase,
     OutOfUnitInterval,
 )
@@ -183,8 +185,6 @@ class PrimeBases:
     primes: tuple[int, ...]
 
     def __post_init__(self):
-        from .errors import EmptyBases
-
         primes = tuple(self.primes)
         if not primes:
             raise EmptyBases()
@@ -197,8 +197,6 @@ class PrimeBases:
         return len(self.primes)
 
     def require_distinct(self) -> None:
-        from .errors import DuplicateBase
-
         seen = set()
         for p in self.primes:
             if p in seen:

@@ -167,6 +167,31 @@ def test_verify_lemma_box_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("diaphony", "--bases", "2", "--count", "1", "--method", "spectral",
+         "--g", "1000000"),
+        ("verify-lemma", "--bases", "2,3", "--count", "1", "--g", "1000000,1"),
+    ],
+)
+def test_huge_box_is_a_resource_cap_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_bound_beyond_the_index_space_is_a_usage_error(capsys):
+    code, out, _ = run(capsys, "bound", "--bases", "2", "--count", str(2**63))
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[3]) > 0
+    code, out, err = run(capsys, "bound", "--bases", "2", "--count", str(10**200))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "2**63" in err
+
+
 def test_json_output_mirrors_fields(capsys):
     code, out, _ = run(capsys, "diaphony", "--bases", "2,3", "--count", "4",
                        "--method", "kernel", "--format", "json")

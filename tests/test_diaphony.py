@@ -15,6 +15,7 @@ from padiaphony import (
     RATIO_TOLERANCE,
     BaseMismatch,
     BoxTooLarge,
+    CountOverflow,
     DiaphonyReport,
     DigitVector,
     DimensionMismatch,
@@ -25,6 +26,7 @@ from padiaphony import (
     PrimeBases,
     TruncationBox,
     ZeroIndex,
+    block_weight_product,
     char_product,
     diaphony_kernel,
     diaphony_kernel_prefixes,
@@ -42,12 +44,13 @@ from padiaphony import (
     validate_bases,
     verify_weyl_bound,
     walsh_phase,
+    weight_mass,
     weyl_sum,
     weyl_sum_bound,
     weyl_sum_table,
     worst_case_error,
 )
-from padiaphony.diaphony import _first_near_max
+from padiaphony.diaphony import ENUMERATION_CAP, _check_box, _first_near_max
 
 B2 = validate_bases([2])
 B3 = validate_bases([3])
@@ -167,7 +170,34 @@ def test_box_cap_is_enforced():
     with pytest.raises(BoxTooLarge):
         weyl_sum_table(pts, B2, TruncationBox((23,)))
     with pytest.raises(BoxTooLarge):
-        diaphony_spectral(pts, B2, TruncationBox((4,)), cap=8)
+        diaphony_spectral(list(halton_stream(2, B3)), B3, TruncationBox((14,)))
+
+
+def test_box_check_is_one_comparison_with_the_cap():
+    # exactly ENUMERATION_CAP indices pass; one exponent more is rejected
+    _check_box(TruncationBox((22,)), B2)
+    _check_box(TruncationBox((11, 11)), PrimeBases((2, 2)))
+    assert ENUMERATION_CAP == 2**22
+    for box, bases in ((TruncationBox((23,)), B2), (TruncationBox((14,)), B3),
+                       (TruncationBox((12, 7)), B23)):
+        with pytest.raises(BoxTooLarge, match="cap"):
+            _check_box(box, bases)
+
+
+def test_huge_box_is_rejected_before_it_is_built():
+    # 2**(10**6) is never built, and the message does not print it
+    box = TruncationBox((10**6,))
+    ps = halton_set(4, B2)
+    for call in (
+        lambda: weyl_sum_table(ps, B2, box),
+        lambda: truncated_spectral_sum(ps, B2, box),
+        lambda: diaphony_spectral(ps, B2, box),
+        lambda: enclosure_grid(ps, B2, box),
+        lambda: verify_weyl_bound(4, B2, box),
+    ):
+        with pytest.raises(BoxTooLarge) as info:
+            call()
+        assert "(1000000,)" in str(info.value) and "cap" in str(info.value)
 
 
 # --- kernel route
@@ -374,8 +404,49 @@ def test_enclosure_grid_matches_individual_calls():
     assert set(grid) == {(a, b) for a in range(1, 5) for b in range(1, 4)}
     for exps, (lower, upper) in grid.items():
         rep = diaphony_spectral(pts, B23, TruncationBox(exps))
-        assert abs(lower - rep.enclosure[0]) < 1e-10
-        assert abs(upper - rep.enclosure[1]) < 1e-10
+        if exps == (4, 3):
+            # the same table and the same reduction: bitwise equal
+            assert (lower, upper) == rep.enclosure
+        else:
+            # a smaller box's FFT rounds the same Weyl sums differently
+            assert (lower, upper) == pytest.approx(rep.enclosure, rel=1e-13, abs=0)
+
+
+def _weighted_energy_oracle(table, bases):
+    """sum_k block_weight_product(k) |S(k)|**2 / N**2 / (sigma - 1) over the
+    nonzero k of the table, index by index."""
+    n = table.flat[0].real
+    total = math.fsum(
+        float(block_weight_product(IndexVector(idx), bases)) * abs(table[idx]) ** 2
+        for idx in np.ndindex(*table.shape)
+        if any(idx)
+    )
+    return total / (n * n) / (weight_mass(bases) - 1)
+
+
+@pytest.mark.parametrize(
+    "primes, exps",
+    [
+        ((2, 3), (4, 3)),
+        ((5,), (3,)),
+        ((2, 2, 3), (3, 1, 2)),  # repeated bases and a g = 1 axis
+        ((65537,), (1,)),
+    ],
+)
+def test_block_energy_reduction_matches_weight_oracle(primes, exps):
+    rng = random.Random(sum(primes) + len(exps))
+    bases = PrimeBases(primes)
+    pts = rand_points(rng, primes, 23)
+    box = TruncationBox(exps)
+    for system in ("padic", "walsh"):
+        table = weyl_sum_table(pts, bases, box, system=system)
+        got = truncated_spectral_sum(pts, bases, box, system=system)
+        assert abs(got - _weighted_energy_oracle(table, bases)) < 1e-12
+    # every sub-box entry of the grid reads the same reduction of the same table
+    table = weyl_sum_table(pts, bases, box)
+    for sub, (lower, _) in enclosure_grid(pts, bases, box).items():
+        corner = table[tuple(slice(0, p**g) for p, g in zip(primes, sub))]
+        assert abs(lower - _weighted_energy_oracle(corner, bases)) < 1e-12
 
 
 def test_truncated_spectral_sum_systems_agree_at_equal_bases():
@@ -491,6 +562,14 @@ def test_halton_bound_requires_distinct_bases():
         halton_diaphony_bound(PrimeBases((2, 2)), 4)
     with pytest.raises(ValueError):
         halton_diaphony_bound(B2, 0)
+
+
+def test_halton_bound_is_limited_to_the_index_space():
+    rep = halton_diaphony_bound(B23, MAX_INDEX + 1)
+    assert math.isfinite(rep.bound_f_squared) and rep.bound_f_squared > 0
+    for n in (MAX_INDEX + 2, 10**200, 10**5000):
+        with pytest.raises(CountOverflow, match="2\\*\\*63"):
+            halton_diaphony_bound(B23, n)
 
 
 def test_weyl_sum_bound_examples():

@@ -31,6 +31,11 @@ def test_validate_bases():
         validate_bases([6])
     with pytest.raises(EmptyBases):
         validate_bases([])
+    # primality is checked over the whole list before distinctness
+    with pytest.raises(NonPrimeBase):
+        validate_bases([2, 2, 4])
+    with pytest.raises(DuplicateBase):
+        validate_bases([3, 2, 3])
 
 
 def test_halton_point_examples():
