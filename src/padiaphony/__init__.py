@@ -14,6 +14,7 @@ from .diaphony import (
     distance_to_nearest_integer,
     enclosure_grid,
     halton_diaphony_bound,
+    halton_diaphony_prefixes,
     spectral_tail,
     truncated_spectral_sum,
     verify_weyl_bound,

@@ -12,13 +12,14 @@ import sys
 from dataclasses import dataclass
 
 from .diaphony import (
-    diaphony_kernel,
-    diaphony_kernel_prefixes,
     diaphony_spectral,
     halton_diaphony_bound,
+    halton_diaphony_prefixes,
     verify_weyl_bound,
     worst_case_error,
 )
+from .diaphony import diaphony_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
+from .diaphony import diaphony_kernel_prefixes  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import BoxTooLarge, DiaphonyError
 from .halton import halton_set, halton_stream, validate_bases
 from .padic import PrimeBases
@@ -167,11 +168,13 @@ def cmd_halton(config: RunConfig) -> int:
 
 
 def cmd_diaphony(config: RunConfig) -> int:
-    points = halton_set(config.count, config.bases, config.start)
     if config.method == "spectral":
+        points = halton_set(config.count, config.bases, config.start)
         report = diaphony_spectral(points, config.bases, config.box)
+    elif config.box is not None:
+        raise _UsageError("--g applies to --method spectral")
     else:
-        report = diaphony_kernel(points, config.bases, mode="fast")
+        report = halton_diaphony_prefixes(config.bases, [config.count], config.start)[0]
     row = {
         "N": report.n_points,
         "F": report.f,
@@ -222,8 +225,7 @@ def _sweep_sizes(args) -> list[int]:
 
 
 def cmd_sweep(config: RunConfig, sizes: list[int]) -> int:
-    points = halton_set(max(sizes), config.bases, config.start)
-    reports = diaphony_kernel_prefixes(points, config.bases, sizes)
+    reports = halton_diaphony_prefixes(config.bases, sizes, config.start)
     rows = []
     for n, report in zip(sizes, reports):
         bound = halton_diaphony_bound(config.bases, n)

@@ -2,12 +2,18 @@
 
 The kernel route sums the closed-form pair kernel over all point pairs.
 Its fast mode counts the points sharing each digit cell, in integers; its
-exact mode adds kernel values pair by pair in rationals.  Both yield the
-squared diaphony as one exact rational, rounded to float once.  The
-spectral route sums weighted squared Weyl sums over a finite index box and
-carries the exact analytic tail, yielding a rigorous enclosure of the
-squared diaphony.  On top sit the worst-case-error identity, the asymptotic
-bound for Halton prefixes, and the per-index Weyl-sum ceiling check.
+exact mode adds kernel values pair by pair in rationals.  For a contiguous
+Halton segment, ``halton_diaphony_prefixes`` counts the same pairs in
+closed form from (bases, start, N) alone, by CRT, and builds no point.  All
+three yield the squared diaphony as one exact rational, rounded to float
+once.  The spectral route sums weighted squared Weyl sums over a finite
+index box and carries the exact analytic tail, yielding a rigorous
+enclosure of the squared diaphony.  On top sit the worst-case-error
+identity, the asymptotic bound for Halton prefixes, and the per-index
+Weyl-sum ceiling check.
+
+numpy is imported inside the functions that build arrays, so the closed
+form, the bound and the scalar oracles run without loading it.
 """
 
 from __future__ import annotations
@@ -18,11 +24,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BoxTooLarge, CountOverflow, DimensionMismatch, BaseMismatch, ZeroIndex
-from .halton import MAX_INDEX, halton_set
+from .halton import MAX_INDEX, _check_segment, halton_set
 from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .kernel import kernel_value
 from .padic import (
@@ -36,6 +41,9 @@ from .padic import (
 )
 from .weights import TruncationBox, truncated_weight_mass, weight_mass
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "ENUMERATION_CAP",
     "RATIO_TOLERANCE",
@@ -46,6 +54,7 @@ __all__ = [
     "weyl_sum_table",
     "diaphony_kernel",
     "diaphony_kernel_prefixes",
+    "halton_diaphony_prefixes",
     "truncated_spectral_sum",
     "spectral_tail",
     "diaphony_spectral",
@@ -172,6 +181,8 @@ def weyl_sum(points, k: IndexVector, bases: PrimeBases) -> complex:
 @lru_cache(maxsize=64)
 def _full_reversal(p: int, g: int) -> np.ndarray:
     """The g-digit base-p reversal of every k < p**g."""
+    import numpy as np
+
     q = np.arange(p**g, dtype=np.int64)
     rev = np.zeros_like(q)
     for _ in range(g):
@@ -204,6 +215,8 @@ def weyl_sum_table(
     layout already puts entry k at index k.  The cost is
     O(N + |box| log |box|); boxes over ENUMERATION_CAP raise BoxTooLarge.
     """
+    import numpy as np
+
     ps = _point_set(points, bases)
     _check_box(box, bases)
     if system not in ("padic", "walsh"):
@@ -233,7 +246,7 @@ def weyl_sum_table(
 # lying in one elementary cell of resolution a.
 
 # Agreement length of two equal coordinates: they share every digit.
-_EQUAL = np.iinfo(np.int64).max
+_EQUAL = 2**63 - 1  # the int64 maximum
 
 
 def _level_weight(p: int, depth: int, lo: int, hi: int) -> int:
@@ -256,6 +269,8 @@ def _cell_pair_sums(coords, i, idx, cell, weight, sizes, totals) -> None:
     between two such values is one term with its summed weight.  Cells
     shrunk to one point are dropped before going on to coordinate i + 1.
     """
+    import numpy as np
+
     p, depth, digits, rank = coords[i]
     n = len(idx)
     order = np.argsort(cell * len(rank) + rank[idx])
@@ -308,6 +323,8 @@ def diaphony_kernel_prefixes(
     prefix longer than m', so a running count of earlier points in each
     digit cell gives all prefix lengths at the cost of one.
     """
+    import numpy as np
+
     ps = _point_set(points, bases)
     sizes = list(prefix_sizes)
     if not sizes:
@@ -366,6 +383,68 @@ def diaphony_kernel(
     return _kernel_report(len(pts), total, weight_mass(bases))
 
 
+def _cell_moduli(primes: tuple[int, ...], limit: int) -> list[int]:
+    """Every M = prod_i p_i**a_i <= limit with all a_i >= 1, ascending."""
+    moduli = [1]
+    rest = math.prod(primes)
+    for p in primes:
+        rest //= p
+        cap = limit // rest  # leaves room for one factor of each later prime
+        grown = []
+        for m in moduli:
+            m *= p
+            while m <= cap:
+                grown.append(m)
+                m *= p
+        moduli = grown
+    return sorted(moduli)
+
+
+def halton_diaphony_prefixes(
+    bases: PrimeBases, prefix_sizes, start: int = 0
+) -> list[DiaphonyReport]:
+    """Kernel reports for prefixes of the Halton segment from ``start``, in
+    closed form, without building a point.
+
+    Every report equals ``diaphony_kernel_prefixes(halton_set(max(sizes),
+    bases, start), bases, sizes)`` bitwise.  Coordinate i of the point with
+    index n holds the base-p_i digits of n, so by CRT two indices share
+    their first a_i digits in every coordinate exactly when n = m modulo
+    M(a) = prod_i p_i**a_i.  The weight W(a) of that event is C / M(a) with
+    C = prod_i (p_i**2 - 1), and among N consecutive indices, N = qM + r,
+    q (N - M + r) ordered pairs of distinct indices agree modulo M.  So the
+    kernel sum is N sigma + C sum_{M(a) <= N} q (N - M + r) / M, whatever
+    the start; it is summed in integers over the common denominator
+    prod_i p_i**A_i, p_i**A_i <= max(sizes), and rounded once per size.
+    """
+    bases.require_distinct()
+    sizes = list(prefix_sizes)
+    if not sizes or min(sizes) < 1:
+        raise ValueError("prefix sizes must be a nonempty list of positive integers")
+    limit = max(sizes)
+    _check_segment(limit, start)
+    moduli = _cell_moduli(bases.primes, limit)
+    scale = 1
+    for p in bases.primes:
+        power = 1
+        while power * p <= limit:
+            power *= p
+        scale *= power
+    shares = [scale // m for m in moduli]
+    sig = weight_mass(bases)
+    c = math.prod(p * p - 1 for p in bases.primes)
+    reports = []
+    for n in sizes:
+        total = 0
+        for m, share in zip(moduli, shares):
+            if m > n:
+                break
+            q, r = divmod(n, m)
+            total += q * (n - m + r) * share
+        reports.append(_kernel_report(n, n * sig + Fraction(c * total, scale), sig))
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # Spectral route
 
@@ -378,6 +457,8 @@ def _sub_box_sums(S: np.ndarray, bases: PrimeBases, box: TruncationBox) -> np.nd
     axis the energies are summed per weight block, scaled by the block
     weight, and accumulated over the blocks.
     """
+    import numpy as np
+
     E = np.abs(S) ** 2
     E.flat[0] = 0.0
     for axis, (p, g) in enumerate(zip(bases.primes, box.exponents)):
@@ -453,6 +534,8 @@ def enclosure_grid(
     table gives every sub-box's boxed sum; the entry for ``box`` itself
     equals ``diaphony_spectral(points, bases, box).enclosure`` bitwise.
     """
+    import numpy as np
+
     ps = _point_set(points, bases)
     sums = _sub_box_sums(weyl_sum_table(ps, bases, box), bases, box)
     n = len(ps)
@@ -525,6 +608,8 @@ def weyl_sum_bound(k: IndexVector, bases: PrimeBases) -> Fraction:
 def _first_near_max(ratio: np.ndarray) -> tuple[int, ...]:
     """The first index in C order whose ratio is within a relative
     _TIE_TOLERANCE of the largest ratio."""
+    import numpy as np
+
     top = ratio.max()
     first = np.argmax(ratio >= top - _TIE_TOLERANCE * top)
     return tuple(int(i) for i in np.unravel_index(first, ratio.shape))
@@ -543,6 +628,8 @@ def verify_weyl_bound(
     ratio is within a relative 1e-9 of the largest, so an exact tie does not
     hang on the last bits of the FFT.
     """
+    import numpy as np
+
     bases.require_distinct()
     _check_box(box, bases)
     if n_points < 1:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from .errors import CountOverflow
 from .padic import Point, PointSet, PrimeBases, monna
 
@@ -60,6 +58,8 @@ def halton_set(count: int, bases: PrimeBases, start: int = 0) -> PointSet:
     significant first, so each column is one vectorized divmod over the
     segment; the depth is the digit count of the last index.
     """
+    import numpy as np
+
     _check_segment(count, start)
     last = start + count - 1
     index = start + np.arange(count, dtype=np.int64)  # never past MAX_INDEX

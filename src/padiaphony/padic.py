@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BaseMismatch,
@@ -25,6 +24,9 @@ from .errors import (
     NonPrimeBase,
     OutOfUnitInterval,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DigitVector",
@@ -233,6 +235,8 @@ class PointSet:
     digits: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        import numpy as np
+
         digits = tuple(self.digits)
         if len(digits) != self.bases.dimension:
             raise DimensionMismatch(
@@ -253,6 +257,8 @@ class PointSet:
     @classmethod
     def from_points(cls, points, bases: PrimeBases) -> PointSet:
         """The digit arrays of a nonempty iterable of Points in these bases."""
+        import numpy as np
+
         pts = _point_list(points, bases)
         if not pts:
             raise ValueError("at least one point is required")

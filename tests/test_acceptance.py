@@ -20,6 +20,7 @@ from padiaphony import (
     diaphony_spectral,
     enclosure_grid,
     halton_diaphony_bound,
+    halton_diaphony_prefixes,
     halton_point,
     halton_stream,
     monna,
@@ -129,6 +130,20 @@ def test_criterion_4_halton_bound_sweep():
                     violations += 1
             assert violations == 0
             assert worst_ratio <= 1.0  # ratio column stays bounded
+
+
+def test_criterion_10_bound_sharpness_at_the_index_space():
+    with criterion(10, "Halton squared diaphony below the bound at every 2**j up to 2**62"):
+        # F^2 / bound at N = 2**62 stays below these, in s = 1..4 dimensions
+        ceilings = {(2,): 2e-3, (2, 3): 5e-3, (2, 3, 5): 1e-3, (2, 3, 5, 7): 1e-4}
+        sizes = [2**j for j in range(63)]
+        for raw, ceiling in ceilings.items():
+            bases = validate_bases(raw)
+            reports = halton_diaphony_prefixes(bases, sizes)
+            bounds = [halton_diaphony_bound(bases, n).bound_f_squared for n in sizes]
+            for rep, bound in zip(reports, bounds):
+                assert rep.f_squared <= bound
+            assert reports[-1].f_squared / bounds[-1] < ceiling
 
 
 def test_criterion_5_weyl_ceiling_exhaustive():

@@ -1,10 +1,16 @@
 """CLI surface: rows, formats, exit statuses, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from padiaphony.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -262,3 +268,97 @@ def test_segments_ending_at_max_index(capsys):
         assert code == 2
         assert out == ""
         assert "exceed the supported range" in err
+
+
+MAX = str(2**63 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, status, rows",
+    [
+        # the whole 64-bit index space, and sizes no point array could hold
+        (("sweep", "--bases", "2", "--from", "1", "--to", str(2**63), "--step", "pow2"), 0, 64),
+        (("sweep", "--bases", "2", "--from", "1", "--to", str(10**11),
+          "--step", str(10**9)), 0, 100),
+        (("sweep", "--bases", "2,3", "--from", "1", "--to", str(2**62), "--step", "pow2"), 0, 63),
+        (("diaphony", "--dim", "4", "--count", str(2**62)), 0, 1),
+        (("diaphony", "--bases", "2,3", "--count", str(2**63)), 0, 1),
+        (("diaphony", "--bases", "2", "--count", "1", "--start", MAX), 0, 1),
+        # past the index space
+        (("sweep", "--bases", "2", "--from", "3", "--to", str(2**64), "--step", "pow2"), 2, 0),
+        (("sweep", "--bases", "2", "--from", "1", "--to", str(10**30), "--step", "pow2"), 2, 0),
+        (("sweep", "--bases", "2", "--from", "1", "--to", "4", "--start", MAX), 2, 0),
+        (("diaphony", "--bases", "2", "--count", str(2**63 + 1)), 2, 0),
+        (("diaphony", "--bases", "2", "--count", str(2**63 + 1), "--method", "spectral",
+          "--g", "1"), 2, 0),
+        (("halton", "--bases", "2", "--count", "1", "--start", str(2**63)), 2, 0),
+        (("bound", "--bases", "2", "--count", str(2**63 + 1)), 2, 0),
+        (("verify-lemma", "--bases", "2", "--count", str(2**63 + 1), "--g", "1"), 2, 0),
+        # malformed flags
+        (("diaphony", "--bases", "2,3", "--count", "4", "--method", "kernel",
+          "--g", "3,2"), 2, 0),
+        (("diaphony", "--bases", "2,3", "--count", "4", "--g", "3,2"), 2, 0),
+        (("diaphony", "--bases", "2", "--count", "4", "--method", "spectral", "--g", "0"), 2, 0),
+        (("diaphony", "--bases", "2", "--count", "4", "--method", "spectral", "--g", "-1"), 2, 0),
+        (("diaphony", "--bases", "2", "--count", "4", "--method", "spectral", "--g", "3,2"), 2, 0),
+        (("diaphony", "--bases", "2", "--count", "4", "--method", "spectral", "--g", "x"), 2, 0),
+        (("diaphony", "--bases", "2", "--count", "4", "--method", "fft"), 2, 0),
+        (("diaphony", "--bases", "", "--count", "4"), 2, 0),
+        (("diaphony", "--bases", "2,x", "--count", "4"), 2, 0),
+        (("diaphony", "--bases", "1", "--count", "4"), 2, 0),
+        (("diaphony", "--dim", "0", "--count", "4"), 2, 0),
+        (("diaphony", "--dim", "17", "--count", "4"), 2, 0),
+        (("diaphony", "--bases", "2", "--count", "-3"), 2, 0),
+        (("diaphony", "--bases", "2", "--count", "4", "--start", "-1"), 2, 0),
+        (("diaphony", "--bases", "2", "--count", "many"), 2, 0),
+        (("sweep", "--bases", "2", "--from", "1", "--to", "4", "--step", "0"), 2, 0),
+        (("sweep", "--bases", "2", "--from", "1", "--to", "4", "--step", "-2"), 2, 0),
+        (("sweep", "--bases", "2", "--from", "-1", "--to", "4"), 2, 0),
+        (("sweep", "--bases", "2,2", "--from", "1", "--to", "4"), 2, 0),
+        (("sweep", "--bases", "2", "--to", "4"), 2, 0),
+        (("halton", "--bases", "2", "--count", "0"), 2, 0),
+        (("bound", "--bases", "2", "--count", "0"), 2, 0),
+        (("verify-lemma", "--bases", "2", "--count", "0", "--g", "1"), 2, 0),
+        (("verify-lemma", "--bases", "2", "--count", "4", "--g", "1,1"), 2, 0),
+        (("frobnicate",), 2, 0),
+        ((), 2, 0),
+    ],
+)
+def test_no_invocation_exits_1_without_a_violation(capsys, argv, status, rows):
+    code, out, err = run(capsys, *argv)
+    assert code == status, err
+    assert "Traceback" not in err
+    if status:
+        assert out == ""
+        assert "error:" in err
+    else:
+        assert len(out.splitlines()) == rows + 1
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_kernel_cli_path_does_not_import_numpy():
+    # a fresh interpreter, because this one already holds numpy
+    proc = _run_python(
+        "import sys\n"
+        "from padiaphony.cli import main\n"
+        "for argv in (['bound', '--dim', '4', '--count', '2048'],\n"
+        "             ['diaphony', '--dim', '4', '--count', '2048', '--start', '1234567'],\n"
+        "             ['sweep', '--bases', '2,3', '--from', '1', '--to', '4096', '--step', 'pow2'],\n"
+        "             ['halton', '--bases', '2,3', '--count', '8']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    proc = _run_python(
+        "from padiaphony.cli import main\n"
+        "raise SystemExit(main(['diaphony', '--bases', '2,3', '--count', '64',\n"
+        "                       '--method', 'spectral', '--g', '4,3']))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("N,F,F2,e,lower,upper\n")

@@ -34,6 +34,7 @@ from padiaphony import (
     distance_to_nearest_integer,
     enclosure_grid,
     halton_diaphony_bound,
+    halton_diaphony_prefixes,
     halton_point,
     halton_set,
     halton_stream,
@@ -323,6 +324,51 @@ def test_counting_route_equals_exact_oracle(case):
     assert diaphony_kernel(pts, bases, "fast") == diaphony_kernel(pts, bases, "exact")
     reports = diaphony_kernel_prefixes(pts, bases, sizes)
     assert reports == [diaphony_kernel(pts[:n], bases, "fast") for n in sizes]
+
+
+CLOSED_FORM_SIZES = [1, 2, 7, 100, 1000, 4097]
+
+
+@pytest.mark.parametrize("start", [0, 12345, MAX_INDEX + 1 - max(CLOSED_FORM_SIZES)])
+@pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5), (3, 7, 11)])
+def test_halton_closed_form_equals_counting_route(primes, start):
+    bases = validate_bases(primes)
+    points = halton_set(max(CLOSED_FORM_SIZES), bases, start)
+    counted = diaphony_kernel_prefixes(points, bases, CLOSED_FORM_SIZES)
+    assert halton_diaphony_prefixes(bases, CLOSED_FORM_SIZES, start) == counted
+
+
+@st.composite
+def halton_segments(draw):
+    """Distinct bases, up to four prefix sizes N <= 2**14 and a start that
+    keeps the segment inside the index space."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1,
+                           max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(1, 2**14), min_size=1, max_size=4))
+    start = draw(st.integers(0, MAX_INDEX + 1 - max(sizes)))
+    return validate_bases(primes), sizes, start
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(case=halton_segments())
+def test_halton_closed_form_equals_counting_route_on_drawn_segments(case):
+    bases, sizes, start = case
+    counted = diaphony_kernel_prefixes(halton_set(max(sizes), bases, start), bases, sizes)
+    assert halton_diaphony_prefixes(bases, sizes, start) == counted
+
+
+def test_halton_closed_form_validates_its_input():
+    with pytest.raises(DuplicateBase):
+        halton_diaphony_prefixes(PrimeBases((2, 3, 2)), [4])
+    for sizes in ([], [0], [4, 0], [-1]):
+        with pytest.raises(ValueError):
+            halton_diaphony_prefixes(B23, sizes)
+    with pytest.raises(ValueError):
+        halton_diaphony_prefixes(B23, [4], start=-1)
+    assert halton_diaphony_prefixes(B23, [2], MAX_INDEX - 1)[0].n_points == 2
+    for sizes, start in (([2], MAX_INDEX), ([1, 3], MAX_INDEX - 1), ([2**63 + 1], 0)):
+        with pytest.raises(CountOverflow):
+            halton_diaphony_prefixes(B23, sizes, start)
 
 
 def test_kernel_mode_validation():
