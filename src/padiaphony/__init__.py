@@ -33,6 +33,7 @@ from .errors import (
     EmptyBases,
     NonPrimeBase,
     OutOfUnitInterval,
+    SegmentTooLarge,
     ZeroIndex,
 )
 from .halton import MAX_INDEX, halton_point, halton_set, halton_stream, validate_bases
@@ -40,7 +41,6 @@ from .kernel import centered_kernel_1d, kernel_value
 from .padic import (
     DigitVector,
     IndexVector,
-    PhaseRational,
     Point,
     PointSet,
     PrimeBases,

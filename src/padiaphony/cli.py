@@ -20,7 +20,7 @@ from .diaphony import (
 )
 from .diaphony import diaphony_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .diaphony import diaphony_kernel_prefixes  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .errors import BoxTooLarge, DiaphonyError
+from .errors import BoxTooLarge, DiaphonyError, SegmentTooLarge
 from .halton import halton_set, halton_stream, validate_bases
 from .padic import PrimeBases
 from .weights import TruncationBox
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BoxTooLarge as exc:
+    except (BoxTooLarge, SegmentTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DiaphonyError as exc:

@@ -113,20 +113,6 @@ class WeylCheckReport:
     violations: int
 
 
-class _KahanSum:
-    """Compensated running sum; works for float and complex alike."""
-
-    def __init__(self, zero=0.0):
-        self.total = zero
-        self._carry = zero
-
-    def add(self, value) -> None:
-        y = value - self._carry
-        t = self.total + y
-        self._carry = (t - self.total) - y
-        self.total = t
-
-
 def _point_set(points, bases: PrimeBases) -> PointSet:
     """The fast routes' single entry conversion: a PointSet passes through
     once its bases match; anything else is an iterable of Points."""
@@ -168,14 +154,13 @@ def _clamp_unit(raw: float) -> float:
 
 
 def weyl_sum(points, k: IndexVector, bases: PrimeBases) -> complex:
-    """sum_n of the k-th character at x_n, compensated, from exact phases."""
+    """sum_n of the k-th character at x_n from exact phases, each part
+    correctly rounded by math.fsum."""
     pts = _point_list(points, bases)
     if not pts:
         raise ValueError("at least one point is required")
-    acc = _KahanSum(0j)
-    for x in pts:
-        acc.add(char_product(k, x, bases))
-    return acc.total
+    values = [char_product(k, x, bases) for x in pts]
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
 
 @lru_cache(maxsize=64)

@@ -58,6 +58,16 @@ class BoxTooLarge(DiaphonyError):
         super().__init__(f"box {exponents} enumerates more indices than the cap {cap}")
 
 
+class SegmentTooLarge(DiaphonyError):
+    """A point segment's digit matrices would hold more int64 cells than
+    the cap; raised before anything is allocated."""
+
+    def __init__(self, count, cap):
+        self.count = count
+        self.cap = cap
+        super().__init__(f"{count} points need more digit cells than the cap {cap}")
+
+
 class ZeroIndex(DiaphonyError):
     """The all-zero index vector is not admissible here."""
 

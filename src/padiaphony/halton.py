@@ -4,13 +4,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import CountOverflow
+from .errors import CountOverflow, SegmentTooLarge
 from .padic import Point, PointSet, PrimeBases, monna
 
 __all__ = ["MAX_INDEX", "validate_bases", "halton_point", "halton_stream", "halton_set"]
 
 # Indices are confined to 64 bits; larger ranges are rejected, not wrapped.
 MAX_INDEX = 2**63 - 1
+# halton_set refuses segments whose digit matrices hold more int64 cells
+# than this (2 GiB), before allocating them.
+DIGIT_CELL_CAP = 1 << 28
 
 
 def validate_bases(raw) -> PrimeBases:
@@ -56,19 +59,19 @@ def halton_set(count: int, bases: PrimeBases, start: int = 0) -> PointSet:
 
     The digits of coordinate i are the base-p_i digits of n, least
     significant first, so each column is one vectorized divmod over the
-    segment; the depth is the digit count of the last index.
+    segment; the depth is the digit count of the last index.  Segments
+    needing more than DIGIT_CELL_CAP digits in all raise SegmentTooLarge.
     """
     import numpy as np
 
     _check_segment(count, start)
     last = start + count - 1
+    depths = [max(1, len(monna(last, p).digits)) for p in bases.primes]
+    if count * sum(depths) > DIGIT_CELL_CAP:
+        raise SegmentTooLarge(count, DIGIT_CELL_CAP)
     index = start + np.arange(count, dtype=np.int64)  # never past MAX_INDEX
     mats = []
-    for p in bases.primes:
-        depth, m = 1, last
-        while m >= p:
-            m //= p
-            depth += 1
+    for p, depth in zip(bases.primes, depths):
         n = index
         digits = np.empty((count, depth), dtype=np.int64)
         for j in range(depth):

@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DigitVector",
-    "PhaseRational",
     "Point",
     "PointSet",
     "PrimeBases",
@@ -71,19 +70,6 @@ def _require_prime(p) -> None:
         raise NonPrimeBase(p)
 
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            while n % f == 0:
-                n //= f
-            return n == 1
-        f += 1
-    return True  # n itself is prime
-
-
 @dataclass(frozen=True)
 class DigitVector:
     """A coordinate in [0, 1) as a finite base-p expansion.
@@ -118,41 +104,6 @@ class DigitVector:
         for d in self.digits:
             num = num * self.base + d
         return Fraction(num, self.base ** len(self.digits))
-
-    def __float__(self) -> float:
-        return float(self.value())
-
-
-@dataclass(frozen=True)
-class PhaseRational:
-    """A unit-modulus complex number stored as its exact phase q in [0, 1).
-
-    The represented value is e^(2*pi*i*q) with q = numerator/denominator.
-    The phase is reduced mod 1 and to lowest terms; a reduced denominator is
-    always 1 or a prime power, which construction enforces.
-    """
-
-    numerator: int
-    denominator: int = 1
-
-    def __post_init__(self):
-        if self.denominator <= 0:
-            raise ValueError("denominator must be positive")
-        q = Fraction(self.numerator, self.denominator) % 1
-        if q.denominator != 1 and not _is_prime_power(q.denominator):
-            raise ValueError(f"denominator {q.denominator} is not a prime power")
-        object.__setattr__(self, "numerator", q.numerator)
-        object.__setattr__(self, "denominator", q.denominator)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def conjugate(self) -> PhaseRational:
-        """Phase of the complex conjugate: -q mod 1."""
-        return PhaseRational(-self.numerator, self.denominator)
-
-    def value(self) -> complex:
-        return phase_to_complex(self.as_fraction())
 
 
 @dataclass(frozen=True)
@@ -358,60 +309,26 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
     return DigitVector(p, tuple(digits))
 
 
-def _reversal_and_length(k: int, p: int) -> tuple[int, int]:
-    """Digit-reverse a positive integer in base p; also report its digit count."""
-    rev, length = 0, 0
-    while k:
-        k, r = divmod(k, p)
-        rev = rev * p + r
-        length += 1
-    return rev, length
+def padic_phase(k: int, x: DigitVector) -> Fraction:
+    """Exact phase in [0, 1) of the k-th p-adic character at x.
 
-
-def padic_phase(k: int, x: DigitVector, p: int | None = None) -> PhaseRational:
-    """Exact phase of the k-th p-adic character at x.
-
-    With k's base-p digits filling a + 1 positions, the phase is
-    (rev_p(k) * monna_inverse(x)) mod p**(a+1) over p**(a+1): the product of
-    the reflected index and the reflected coordinate, reduced mod 1.  Only
-    the first a + 1 digits of x can influence the result.
+    The phase is phi_p(k) * monna_inverse(x) mod 1, with phi_p(k) =
+    monna(k, p) the reflected index.  When k has a + 1 base-p digits,
+    phi_p(k) has denominator p**(a+1), so only the first a + 1 digits of x
+    can influence the result.
     """
-    if p is None:
-        p = x.base
-    else:
-        _require_prime(p)
-    if x.base != p:
-        raise BaseMismatch(f"digit vector is base {x.base}, expected {p}")
-    if k < 0:
-        raise ValueError("character index must be nonnegative")
-    if k == 0:
-        return PhaseRational(0, 1)
-    rev, length = _reversal_and_length(k, p)
-    modulus = p**length
-    return PhaseRational((rev * monna_inverse(x)) % modulus, modulus)
+    return monna(k, x.base).value() * monna_inverse(x) % 1
 
 
-def walsh_phase(k: int, x: DigitVector, p: int | None = None) -> PhaseRational:
-    """Exact phase of the k-th base-p Walsh function at x.
+def walsh_phase(k: int, x: DigitVector) -> Fraction:
+    """Exact phase in [0, 1) of the k-th base-p Walsh function at x.
 
     With k's base-p digits kappa_0, ..., kappa_a the phase is
     (sum_r kappa_r * x_{r+1} mod p) / p.
     """
-    if p is None:
-        p = x.base
-    else:
-        _require_prime(p)
-    if x.base != p:
-        raise BaseMismatch(f"digit vector is base {x.base}, expected {p}")
-    if k < 0:
-        raise ValueError("character index must be nonnegative")
-    total = 0
-    r = 0
-    while k:
-        k, kr = divmod(k, p)
-        total += kr * x.digit(r + 1)
-        r += 1
-    return PhaseRational(total % p, p)
+    p = x.base
+    total = sum(kr * x.digit(j) for j, kr in enumerate(monna(k, p).digits, start=1))
+    return Fraction(total % p, p)
 
 
 def phase_to_complex(q: Fraction | float) -> complex:
@@ -419,27 +336,17 @@ def phase_to_complex(q: Fraction | float) -> complex:
     return cmath.exp(2j * math.pi * float(q))
 
 
-def _check_index_point(k: IndexVector, x: Point, bases: PrimeBases) -> None:
-    if not (k.dimension == x.dimension == bases.dimension):
-        raise DimensionMismatch(
-            f"index ({k.dimension}), point ({x.dimension}) and bases "
-            f"({bases.dimension}) dimensions differ"
-        )
-    for coord, p in zip(x.coords, bases.primes):
-        if coord.base != p:
-            raise BaseMismatch(f"coordinate base {coord.base} does not match {p}")
-
-
 def char_phase_total(
     k: IndexVector, x: Point, bases: PrimeBases, phase_fn=padic_phase
 ) -> Fraction:
     """Exact total phase of the s-dimensional character: coordinate phases mod 1."""
-    _check_index_point(k, x, bases)
-    total = Fraction(0)
-    for ki, xi, p in zip(k.indices, x.coords, bases.primes):
-        if ki:
-            total += phase_fn(ki, xi, p).as_fraction()
-    return total % 1
+    if k.dimension != bases.dimension:
+        raise DimensionMismatch(
+            f"index dimension {k.dimension} != bases dimension {bases.dimension}"
+        )
+    _point_list((x,), bases)
+    phases = (phase_fn(ki, xi) for ki, xi in zip(k.indices, x.coords))
+    return sum(phases, Fraction(0)) % 1
 
 
 def char_product(

@@ -179,6 +179,10 @@ def test_verify_lemma_box_cap(capsys):
         ("diaphony", "--bases", "2", "--count", "1", "--method", "spectral",
          "--g", "1000000"),
         ("verify-lemma", "--bases", "2,3", "--count", "1", "--g", "1000000,1"),
+        # segments whose digit arrays would pass the cell cap
+        ("diaphony", "--bases", "2", "--count", str(2**62), "--method", "spectral",
+         "--g", "1"),
+        ("verify-lemma", "--bases", "2", "--count", str(2**62), "--g", "1"),
     ],
 )
 def test_huge_box_is_a_resource_cap_error(capsys, argv):

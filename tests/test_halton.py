@@ -14,6 +14,7 @@ from padiaphony import (
     EmptyBases,
     NonPrimeBase,
     PointSet,
+    SegmentTooLarge,
     halton_point,
     halton_set,
     halton_stream,
@@ -113,6 +114,8 @@ def test_set_argument_validation():
         halton_set(1, bases, start=-1)
     with pytest.raises(CountOverflow):
         halton_set(2, bases, start=MAX_INDEX)
+    with pytest.raises(SegmentTooLarge, match="cap"):
+        halton_set(2**62, bases)
     ps = halton_set(1, bases, start=MAX_INDEX)
     assert len(ps) == 1
     assert ps.digits[0].tolist() == [[1] * 63]
