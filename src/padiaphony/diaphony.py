@@ -2,12 +2,12 @@
 
 The kernel route sums the closed-form pair kernel over all point pairs.
 Its fast mode counts the points sharing each digit cell, in integers; its
-exact mode adds kernel values pair by pair in rationals.  For a contiguous
-Halton segment, ``halton_diaphony_prefixes`` counts the same pairs in
-closed form from (bases, start, N) alone, by CRT, and builds no point.  All
-three yield the squared diaphony as one exact rational, rounded to float
-once.  The spectral route sums weighted squared Weyl sums over a finite
-index box and carries the exact analytic tail, yielding a rigorous
+exact mode adds kernel values over unordered pairs in rationals.  For a
+contiguous Halton segment, ``halton_diaphony_prefixes`` counts the same
+pairs in closed form from (bases, start, N) alone, by CRT, and builds no
+point.  All three yield the squared diaphony as one exact rational, rounded
+to float once.  The spectral route sums weighted squared Weyl sums over a
+finite index box and carries the exact analytic tail, yielding a rigorous
 enclosure of the squared diaphony.  On top sit the worst-case-error
 identity, the asymptotic bound for Halton prefixes, and the per-index
 Weyl-sum ceiling check.
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import BoxTooLarge, CountOverflow, DimensionMismatch, BaseMismatch, ZeroIndex
+from .errors import BoxTooLarge, CountOverflow, DimensionMismatch, ZeroIndex
 from .halton import MAX_INDEX, _check_segment, halton_set
 from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .kernel import kernel_value
@@ -36,6 +36,7 @@ from .padic import (
     PointSet,
     PrimeBases,
     _point_list,
+    _require_bases,
     char_product,
     monna,
 )
@@ -117,10 +118,7 @@ def _point_set(points, bases: PrimeBases) -> PointSet:
     """The fast routes' single entry conversion: a PointSet passes through
     once its bases match; anything else is an iterable of Points."""
     if isinstance(points, PointSet):
-        if points.bases != bases:
-            raise BaseMismatch(
-                f"point set bases {points.bases.primes} != {bases.primes}"
-            )
+        _require_bases(points, bases)
         return points
     return PointSet.from_points(points, bases)
 
@@ -155,7 +153,8 @@ def _clamp_unit(raw: float) -> float:
 
 def weyl_sum(points, k: IndexVector, bases: PrimeBases) -> complex:
     """sum_n of the k-th character at x_n from exact phases, each part
-    correctly rounded by math.fsum."""
+    correctly rounded by math.fsum.  ``points`` is a PointSet or an
+    iterable of Points; a PointSet is converted to Points once."""
     pts = _point_list(points, bases)
     if not pts:
         raise ValueError("at least one point is required")
@@ -350,8 +349,11 @@ def diaphony_kernel(
              ``diaphony_kernel_prefixes``): integer work on digit arrays,
              near-linear in N for well-spread points, any bases.  Takes a
              PointSet or an iterable of Points.
-    exact -- the full O(N**2) double sum of ``kernel_value`` in rationals;
-             the oracle path.  Takes Points only.
+    exact -- the oracle path: ``kernel_value`` in rationals on each of the
+             N (N + 1) / 2 unordered pairs, the diagonal once and the
+             others twice, since the kernel is symmetric; zero values,
+             from a coordinate sharing no digit, add nothing.  O(N**2).
+             A PointSet is converted to Points once.
     """
     if mode == "fast":
         ps = _point_set(points, bases)
@@ -361,11 +363,14 @@ def diaphony_kernel(
     pts = _point_list(points, bases)
     if not pts:
         raise ValueError("at least one point is required")
-    total = Fraction(0)
-    for x in pts:
-        for y in pts:
-            total += kernel_value(x, y, bases)
-    return _kernel_report(len(pts), total, weight_mass(bases))
+    diagonal = off = Fraction(0)
+    for i, x in enumerate(pts):
+        diagonal += kernel_value(x, x, bases)
+        for y in pts[i + 1 :]:
+            value = kernel_value(x, y, bases)
+            if value:
+                off += value
+    return _kernel_report(len(pts), diagonal + 2 * off, weight_mass(bases))
 
 
 def _cell_moduli(primes: tuple[int, ...], limit: int) -> list[int]:

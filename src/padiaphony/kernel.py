@@ -1,8 +1,11 @@
 """Closed form of the reproducing kernel underlying the diaphony.
 
-The one-dimensional kernel is 1 + c(x, y) where c depends only on the first
-digit position where the expansions of x and y disagree; it is discontinuous
-there, so everything is evaluated on exact digit vectors.
+In one coordinate the kernel is 1 + c_p(x, y) = (p + 1)(1 - p**-t), where t
+is the number of leading digits x and y share, and p + 1 when x = y.  The
+s-dimensional kernel is the product over coordinates, so it is
+sigma * prod_i (1 - p_i**-t_i) with sigma = prod_i (p_i + 1), and it is zero
+unless every coordinate shares its first digit.  It is discontinuous where
+an expansion changes, so everything is evaluated on exact digit vectors.
 """
 
 from __future__ import annotations
@@ -15,36 +18,69 @@ from .padic import DigitVector, Point, PrimeBases
 __all__ = ["centered_kernel_1d", "kernel_value"]
 
 
+def _shared_digits(x: DigitVector, y: DigitVector) -> int | None:
+    """The number of leading digits x and y share, or None when x = y.
+
+    Digit vectors are canonical (trailing zeros trimmed), so equal values
+    have equal digit tuples; when one tuple is a proper prefix of the other,
+    the shorter reads as zero past its end, up to the longer one's next
+    nonzero digit.
+    """
+    a, b = x.digits, y.digits
+    if a == b:
+        return None
+    for t, (u, v) in enumerate(zip(a, b)):
+        if u != v:
+            return t
+    longer = a if len(a) > len(b) else b
+    t = min(len(a), len(b))
+    while not longer[t]:
+        t += 1
+    return t
+
+
 def centered_kernel_1d(x: DigitVector, y: DigitVector) -> Fraction:
     """The one-dimensional kernel minus its constant term, exactly.
 
-    Returns p when x = y, and p - (p + 1) * p**(1 - i0) otherwise, where i0
-    is the first position at which the expansions differ (positions past
-    either expansion read as zero).  Canonical digit vectors make the x = y
-    branch a structural comparison; no floating point is involved.
+    Returns p when x = y, and p - (p + 1) * p**-t otherwise, where t is the
+    number of leading digits x and y share (positions past either expansion
+    read as zero).  Canonical digit vectors make the x = y branch a
+    structural comparison; no floating point is involved.
     """
     if x.base != y.base:
         raise BaseMismatch(f"bases {x.base} and {y.base} differ")
     p = x.base
-    if x.digits == y.digits:
+    t = _shared_digits(x, y)
+    if t is None:
         return Fraction(p)
-    depth = max(len(x.digits), len(y.digits))
-    for j in range(1, depth + 1):
-        if x.digit(j) != y.digit(j):
-            return p - Fraction(p + 1, p ** (j - 1))
-    raise AssertionError("distinct canonical digit vectors must differ somewhere")
+    return Fraction(p ** (t + 1) - p - 1, p**t)
 
 
 def kernel_value(x: Point, y: Point, bases: PrimeBases) -> Fraction:
-    """The s-dimensional kernel: exact product over coordinates of 1 + c."""
+    """The s-dimensional kernel: exact product over coordinates of 1 + c.
+
+    Each factor is (p + 1)(p**t - 1) / p**t, or p + 1 for equal coordinates;
+    the integer numerators and denominators are multiplied and one Fraction
+    is built at the end.  A coordinate sharing no digit gives 0 at once.
+    """
     if not (x.dimension == y.dimension == bases.dimension):
         raise DimensionMismatch(
             f"points ({x.dimension}, {y.dimension}) and bases "
             f"({bases.dimension}) dimensions differ"
         )
-    out = Fraction(1)
+    # every base is checked before a zero factor can return early
     for xi, yi, p in zip(x.coords, y.coords, bases.primes):
         if xi.base != p or yi.base != p:
             raise BaseMismatch(f"coordinate bases do not match declared base {p}")
-        out *= 1 + centered_kernel_1d(xi, yi)
-    return out
+    num = den = 1
+    for xi, yi, p in zip(x.coords, y.coords, bases.primes):
+        t = _shared_digits(xi, yi)
+        if t is None:
+            num *= p + 1
+        elif t == 0:
+            return Fraction(0)
+        else:
+            pt = p**t
+            num *= (p + 1) * (pt - 1)
+            den *= pt
+    return Fraction(num, den)

@@ -92,6 +92,18 @@ class DigitVector:
                 raise ValueError(f"digit {d!r} out of range for base {self.base}")
         object.__setattr__(self, "digits", digits)
 
+    @classmethod
+    def _trusted(cls, base: int, digits: list[int]) -> DigitVector:
+        """A DigitVector from a prime base and a list of digits already in
+        range, for digits valid by construction: trailing zeros are popped
+        off the list, and the public constructor's checks are skipped."""
+        while digits and not digits[-1]:
+            digits.pop()
+        out = object.__new__(cls)
+        object.__setattr__(out, "base", base)
+        object.__setattr__(out, "digits", tuple(digits))
+        return out
+
     def digit(self, j: int) -> int:
         """The j-th digit, 1-indexed; positions past the expansion are 0."""
         if j < 1:
@@ -157,8 +169,20 @@ class PrimeBases:
             seen.add(p)
 
 
+def _require_bases(ps: PointSet, bases: PrimeBases) -> None:
+    if ps.bases != bases:
+        raise BaseMismatch(f"point set bases {ps.bases.primes} != {bases.primes}")
+
+
 def _point_list(points, bases: PrimeBases) -> list[Point]:
-    """The points as a list, each checked against the bases."""
+    """The points as a list, each checked against the bases.  A PointSet in
+    these bases becomes one Point per digit row."""
+    if isinstance(points, PointSet):
+        _require_bases(points, bases)
+        rows = zip(*(m.tolist() for m in points.digits))
+        return [
+            Point(tuple(map(DigitVector._trusted, bases.primes, row))) for row in rows
+        ]
     pts = list(points)
     for pt in pts:
         if pt.dimension != bases.dimension:
@@ -262,7 +286,7 @@ def monna(n: int, p: int) -> DigitVector:
     while n:
         n, r = divmod(n, p)
         digits.append(r)
-    return DigitVector(p, tuple(digits))
+    return DigitVector._trusted(p, digits)
 
 
 def monna_inverse(x: DigitVector) -> int:
@@ -306,7 +330,7 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
         num *= p
         d, num = divmod(num, den)
         digits.append(d)
-    return DigitVector(p, tuple(digits))
+    return DigitVector._trusted(p, digits)
 
 
 def padic_phase(k: int, x: DigitVector) -> Fraction:

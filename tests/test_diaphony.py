@@ -38,6 +38,7 @@ from padiaphony import (
     halton_point,
     halton_set,
     halton_stream,
+    kernel_value,
     monna,
     point_from_values,
     spectral_tail,
@@ -51,7 +52,9 @@ from padiaphony import (
     weyl_sum_table,
     worst_case_error,
 )
+import padiaphony.diaphony
 from padiaphony.diaphony import ENUMERATION_CAP, _check_box, _first_near_max
+from padiaphony.padic import _point_list
 
 B2 = validate_bases([2])
 B3 = validate_bases([3])
@@ -326,6 +329,58 @@ def test_counting_route_equals_exact_oracle(case):
     assert reports == [diaphony_kernel(pts[:n], bases, "fast") for n in sizes]
 
 
+@st.composite
+def float_clouds(draw, primes):
+    """Up to 64 ingested float rows in [0, 1), some of them repeated."""
+    bases = validate_bases(primes)
+    unit = st.floats(0, 1, exclude_max=True)
+    rows = draw(st.lists(st.lists(unit, min_size=len(primes), max_size=len(primes)),
+                         min_size=1, max_size=48))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=16))
+    rows = draw(st.permutations(rows))
+    return bases, [point_from_values(row, bases) for row in rows]
+
+
+def _ordered_double_sum_report(pts, bases):
+    n = len(pts)
+    total = sum((kernel_value(x, y, bases) for x in pts for y in pts), Fraction(0))
+    f_squared = float((total / (n * n) - 1) / (weight_mass(bases) - 1))
+    return DiaphonyReport(n, math.sqrt(f_squared), f_squared, "kernel")
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 65537)])
+def test_exact_mode_equals_ordered_double_sum_and_fast_route(primes):
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(case=float_clouds(primes))
+    def check(case):
+        bases, pts = case
+        exact = diaphony_kernel(pts, bases, mode="exact")
+        assert exact == _ordered_double_sum_report(pts, bases)
+        assert exact == diaphony_kernel(pts, bases, mode="fast")
+
+    check()
+
+
+def test_exact_mode_calls_the_kernel_once_per_unordered_pair(monkeypatch):
+    # the oracle's only kernel evaluations go through the module-global name
+    calls = []
+    real = padiaphony.diaphony.kernel_value
+
+    def counting(x, y, bases):
+        calls.append(1)
+        return real(x, y, bases)
+
+    monkeypatch.setattr(padiaphony.diaphony, "kernel_value", counting)
+    bases = validate_bases([2, 3, 5])
+    rng = random.Random(8)
+    rows = [[rng.random() for _ in range(3)] for _ in range(20)]
+    pts = [point_from_values(row, bases) for row in rows + rows[:3]]
+    for n in (1, 2, 7, len(pts)):
+        calls.clear()
+        diaphony_kernel(pts[:n], bases, mode="exact")
+        assert len(calls) == n * (n + 1) // 2
+
+
 CLOSED_FORM_SIZES = [1, 2, 7, 100, 1000, 4097]
 
 
@@ -572,9 +627,35 @@ def test_point_set_conversion_checks():
         lambda: truncated_spectral_sum(ps, b25, box),
         lambda: diaphony_spectral(ps, b25, box),
         lambda: enclosure_grid(ps, b25, box),
+        lambda: diaphony_kernel(ps, b25, mode="exact"),
+        lambda: weyl_sum(ps, IndexVector((1, 1)), b25),
     ):
         with pytest.raises(BaseMismatch):
             call()
+
+
+def test_exact_kernel_takes_a_point_set():
+    for primes, count, start in (((2, 3), 8, 0), ((2, 3, 5), 30, 2**40 + 17)):
+        bases = validate_bases(primes)
+        ps = halton_set(count, bases, start)
+        pts = list(halton_stream(count, bases, start))
+        assert _point_list(ps, bases) == pts
+        exact = diaphony_kernel(ps, bases, mode="exact")
+        assert exact == diaphony_kernel(pts, bases, mode="exact") == diaphony_kernel(ps, bases)
+    # zero-padded digit rows of ingested points convert back to the same Points
+    bases = validate_bases([2, 3, 5])
+    pts = [point_from_values(row, bases) for row in ([0.5, 0.0, 0.2], [0.75, 1 / 3, 0.0])]
+    ps = PointSet.from_points(pts, bases)
+    assert _point_list(ps, bases) == pts
+    assert diaphony_kernel(ps, bases, mode="exact") == diaphony_kernel(pts, bases, mode="exact")
+
+
+def test_weyl_sum_takes_a_point_set():
+    bases = validate_bases([2, 3])
+    ps = halton_set(8, bases)
+    pts = list(halton_stream(8, bases))
+    for k in ((0, 0), (1, 0), (3, 2), (5, 7)):
+        assert weyl_sum(ps, IndexVector(k), bases) == weyl_sum(pts, IndexVector(k), bases)
 
 
 # --- identities and bounds

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiaphony import (
     BaseMismatch,
@@ -73,6 +75,101 @@ def test_kernel_value_examples():
     x = Point((DigitVector(2),))
     y = Point((DigitVector(2, (0, 1)),))
     assert kernel_value(x, y, b2) == Fraction(3, 2)
+
+
+def reference_kernel(x, y, bases):
+    """prod_i (p_i + 1)(1 - p_i**-t_i), t_i the shared leading digits of the
+    values in coordinate i; p_i + 1 where the values are equal."""
+    out = Fraction(1)
+    for xi, yi, p in zip(x.coords, y.coords, bases.primes):
+        if xi.value() == yi.value():
+            out *= p + 1
+            continue
+        t = 0
+        while xi.digit(t + 1) == yi.digit(t + 1):
+            t += 1
+        out *= (p + 1) * (1 - Fraction(1, p**t))
+    return out
+
+
+KERNEL_PRIMES = (2, 3, 5, 7, 65537)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two points in drawn bases whose coordinates are equal (possibly with
+    padded zeros), one a trimmed prefix of the other, different from the
+    first digit on, or unrelated."""
+    primes = draw(st.lists(st.sampled_from(KERNEL_PRIMES), min_size=1, max_size=4))
+    xs, ys = [], []
+    for p in primes:
+        digits = st.lists(st.integers(0, p - 1), max_size=6)
+        x = DigitVector(p, tuple(draw(digits)))
+        kind = draw(st.sampled_from(("equal", "prefix", "first", "unrelated")))
+        if kind == "equal":
+            y = DigitVector(p, x.digits + (0,) * draw(st.integers(0, 2)))
+        elif kind == "prefix":
+            tail = draw(digits) + [draw(st.integers(1, p - 1))]
+            y = DigitVector(p, x.digits + (0,) * draw(st.integers(0, 2)) + tuple(tail))
+        elif kind == "first":
+            head = (x.digit(1) + draw(st.integers(1, p - 1))) % p
+            y = DigitVector(p, (head,) + tuple(draw(digits)))
+        else:
+            y = DigitVector(p, tuple(draw(digits)))
+        if draw(st.booleans()):
+            x, y = y, x
+        xs.append(x)
+        ys.append(y)
+    return PrimeBases(tuple(primes)), Point(tuple(xs)), Point(tuple(ys))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=kernel_pairs())
+def test_kernel_value_equals_reference_product(case):
+    bases, x, y = case
+    expected = reference_kernel(x, y, bases)
+    assert kernel_value(x, y, bases) == expected
+    assert kernel_value(y, x, bases) == expected
+    for xi, yi in zip(x.coords, y.coords):
+        one = PrimeBases((xi.base,))
+        assert 1 + centered_kernel_1d(xi, yi) == reference_kernel(
+            Point((xi,)), Point((yi,)), one
+        )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=kernel_pairs(), data=st.data())
+def test_kernel_value_rejects_a_base_mismatch_in_any_coordinate(case, data):
+    # checked before the product, so a zero factor elsewhere does not hide it
+    bases, x, y = case
+    i = data.draw(st.integers(0, bases.dimension - 1))
+    q = data.draw(st.sampled_from([p for p in KERNEL_PRIMES if p != bases.primes[i]]))
+    coords = list(y.coords)
+    coords[i] = DigitVector(q, tuple(d % q for d in coords[i].digits))
+    with pytest.raises(BaseMismatch):
+        kernel_value(x, Point(tuple(coords)), bases)
+    with pytest.raises(BaseMismatch):
+        centered_kernel_1d(x.coords[i], coords[i])
+
+
+def test_kernel_of_a_trimmed_prefix():
+    # (1,) and (1, 0, 1) share two digits: 1/2 vs 5/8
+    short, long = DigitVector(2, (1,)), DigitVector(2, (1, 0, 1))
+    assert centered_kernel_1d(short, long) == centered_kernel_1d(long, short) == Fraction(5, 4)
+    assert kernel_value(Point((short,)), Point((long,)), PrimeBases((2,))) == Fraction(9, 4)
+    assert centered_kernel_1d(DigitVector(3), DigitVector(3, (0, 0, 2))) == 3 - Fraction(4, 9)
+
+
+def test_kernel_is_zero_when_one_coordinate_differs_in_its_first_digit():
+    bases = PrimeBases((2, 3, 5))
+    x = Point((DigitVector(2, (1, 1)), DigitVector(3, (2,)), DigitVector(5, (4, 4))))
+    for i in range(3):
+        coords = list(x.coords)
+        p = bases.primes[i]
+        coords[i] = DigitVector(p, ((x.coords[i].digit(1) + 1) % p,) + x.coords[i].digits[1:])
+        assert kernel_value(x, Point(tuple(coords)), bases) == 0
+        assert kernel_value(Point(tuple(coords)), x, bases) == 0
+    assert kernel_value(x, x, bases) == 3 * 4 * 6
 
 
 def test_kernel_value_dimension_errors():

@@ -104,6 +104,21 @@ def test_monna_value_in_unit_interval():
             assert 0 <= monna(n, p).value() < 1
 
 
+def test_monna_and_ingest_build_canonical_digit_vectors():
+    # both skip the public constructor's checks; the result must be the same
+    for p in (2, 3, 5, 65537):
+        for n in (0, 1, p - 1, p, p * p, 12345, 2**63 - 1):
+            dv = monna(n, p)
+            assert type(dv.digits) is tuple
+            assert dv == DigitVector(p, dv.digits) and hash(dv) == hash(DigitVector(p, dv.digits))
+    for x, p, depth in ((0.5, 2, 8), (0.0, 3, None), (0.25, 65537, None), (0.999, 5, 3)):
+        dv = float_to_digits(x, p, depth)
+        assert type(dv.digits) is tuple
+        assert dv == DigitVector(p, dv.digits) == DigitVector(p, dv.digits + (0, 0))
+    assert float_to_digits(0.5, 2, 8).digits == (1,)
+    assert float_to_digits(0.0, 3).digits == ()
+
+
 # --- float ingestion
 
 
