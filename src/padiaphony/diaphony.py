@@ -1,16 +1,17 @@
 """Diaphony of point sets in the unit cube, by two independent routes.
 
 The kernel route sums the closed-form pair kernel over all point pairs.
-Its fast mode counts the points sharing each digit cell, in integers; its
-exact mode adds kernel values over unordered pairs in rationals.  For a
-contiguous Halton segment, ``halton_diaphony_prefixes`` counts the same
-pairs in closed form from (bases, start, N) alone, by CRT, and builds no
-point.  All three yield the squared diaphony as one exact rational, rounded
-to float once.  The spectral route sums weighted squared Weyl sums over a
-finite index box and carries the exact analytic tail, yielding a rigorous
-enclosure of the squared diaphony.  On top sit the worst-case-error
-identity, the asymptotic bound for Halton prefixes, and the per-index
-Weyl-sum ceiling check.
+Its fast mode counts the points sharing each digit cell, in integers, in
+one sorted pass per coordinate; its exact mode adds kernel values over
+unordered pairs in rationals.  For a contiguous Halton segment,
+``halton_diaphony_prefixes`` counts the same pairs in closed form from
+(bases, start, N) alone, by CRT, and builds no point.  All three yield
+the squared diaphony as one exact rational, rounded to float once.  The
+spectral route sums weighted squared Weyl sums over a finite index box
+and carries the exact analytic tail, yielding a rigorous enclosure of the
+squared diaphony.  On top sit the worst-case-error identity, the
+asymptotic bound for Halton prefixes, and the per-index Weyl-sum ceiling
+check.
 
 numpy is imported inside the functions that build arrays, so the closed
 form, the bound and the scalar oracles run without loading it.
@@ -20,14 +21,15 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import BoxTooLarge, CountOverflow, DimensionMismatch, ZeroIndex
-from .halton import MAX_INDEX, _check_segment, halton_set
+from .errors import BoxTooLarge, CountOverflow, DimensionMismatch, SegmentTooLarge, ZeroIndex
+from .halton import DIGIT_CELL_CAP, MAX_INDEX, _check_segment, halton_set
 from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .kernel import kernel_value
 from .padic import (
@@ -229,65 +231,157 @@ def weyl_sum_table(
 # W(a) = prod_i (p_i**2 - 1) p_i**-a_i and Q(a) the integer count of pairs
 # lying in one elementary cell of resolution a.
 
-# Agreement length of two equal coordinates: they share every digit.
-_EQUAL = 2**63 - 1  # the int64 maximum
-
-
 def _level_weight(p: int, depth: int, lo: int, hi: int) -> int:
     """p**depth * sum_{a=lo..hi} (p**2 - 1) p**-a, an integer for
-    1 <= lo <= hi < depth; hi = _EQUAL sums the whole tail, (p + 1) p**(1 - lo)."""
-    tail = 0 if hi == _EQUAL else p ** (depth - hi)
+    1 <= lo <= hi < depth; hi = depth, the agreement of equal digit rows,
+    sums the whole tail, (p + 1) p**(1 - lo)."""
+    tail = 0 if hi == depth else p ** (depth - hi)
     return (p + 1) * (p ** (depth + 1 - lo) - tail)
 
 
-def _cell_pair_sums(coords, i, idx, cell, weight, sizes, totals) -> None:
-    """Add to totals[k] the kernel sum, times prod_i p_i**depth_i, over pairs
-    m < m' < sizes[k] of the points ``idx`` (ascending) that share a cell of
-    ``cell`` (dense labels, each cell holding at least two points) in the
-    coordinates before i; ``weight`` is those coordinates' scaled weight.
+def _agreement_table(head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rank of each row of ``head`` in lexicographic digit order, and a
+    range-minimum table over the shared-digit counts of rows adjacent in
+    that order, equal rows counting as sharing all ``depth`` digits.
 
-    Sorting each cell by coordinate i's digits puts every finer digit cell
-    in one run, and the shared-digit count of two points is the minimum over
-    the adjacent pairs between them.  The partition therefore changes only
-    at levels one past an adjacent agreement length, and each run of levels
-    between two such values is one term with its summed weight.  Cells
-    shrunk to one point are dropped before going on to coordinate i + 1.
+    Entry (k, j) is the least count over the 2**k adjacent pairs from rank
+    j on.  Two rows share as many digits as the least adjacent pair between
+    their ranks, so that count is the smaller of two table entries.  The
+    counts are found one digit column at a time over the pairs still equal.
     """
     import numpy as np
 
-    p, depth, digits, rank = coords[i]
-    n = len(idx)
-    order = np.argsort(cell * len(rank) + rank[idx])
-    run = digits[idx[order]]
-    differ = run[1:] != run[:-1]
-    agree = np.where(differ.any(axis=1), differ.argmax(axis=1), _EQUAL)
-    agree[cell[order[1:]] != cell[order[:-1]]] = -1
-    last = i + 1 == len(coords)
-    if last:
-        before = np.searchsorted(idx, sizes)
-    lo = 1
-    for hi in np.unique(agree[agree > 0]).tolist():
-        group = np.empty(n, dtype=np.int64)
-        group[order] = np.concatenate(([0], np.cumsum(agree < lo)))
-        counts = np.bincount(group)
-        if counts.max() < 2:
+    n, depth = head.shape
+    order = np.lexsort(head.T[::-1])
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    table = np.full(((n - 1).bit_length(), n - 1), depth, dtype=np.min_scalar_type(depth))
+    pair = np.arange(n - 1)
+    for j in range(depth):
+        if not len(pair):
             break
-        w = weight * _level_weight(p, depth, lo, hi)
-        if last:
-            # earlier[m]: points of m's cell with a smaller index
-            by_index = np.argsort(group, kind="stable")
-            first = np.cumsum(counts) - counts
-            earlier = np.empty(n, dtype=np.int64)
-            earlier[by_index] = np.arange(n) - first[group[by_index]]
-            pairs = np.concatenate(([0], np.cumsum(earlier)))[before]
-            totals += pairs.astype(object) * w
-        else:
-            keep = counts[group] > 1
-            dense = np.cumsum(counts > 1) - 1
-            _cell_pair_sums(
-                coords, i + 1, idx[keep], dense[group[keep]], w, sizes, totals
-            )
-        lo = hi + 1
+        column = head[:, j]
+        differ = column[order[pair]] != column[order[pair + 1]]
+        table[0, pair[differ]] = j
+        pair = pair[~differ]
+    for k in range(1, len(table)):
+        half, width = 1 << (k - 1), n - (1 << k)
+        np.minimum(table[k - 1, :width], table[k - 1, half : half + width],
+                   out=table[k, :width])
+    return rank, table
+
+
+def _adjacent_agreement(rank, table, point, cell) -> np.ndarray:
+    """Shared-digit counts of adjacent entries sorted by (cell, rank), -1
+    where the cell changes."""
+    import numpy as np
+
+    r = rank[point]
+    same = np.flatnonzero(cell[1:] == cell[:-1])
+    lo, hi = r[same], r[same + 1]
+    width = table.shape[1]
+    floor_log2 = np.repeat(np.arange(width.bit_length()), 1 << np.arange(width.bit_length()))
+    k = floor_log2[hi - lo - 1]
+    at = k * width + lo
+    flat = table.ravel()
+    agree = np.full(len(point) - 1, -1, dtype=np.int64)
+    agree[same] = np.minimum(flat[at], flat[at + (hi - lo) - (1 << k)])
+    return agree
+
+
+def _lcp_intervals(agree: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every run [s, e], s < e, of sorted entries that is one digit cell
+    over a range of levels lo..hi, as arrays (s, e, lo, hi).
+
+    At level a >= 1 the entries fall into cells split wherever the adjacent
+    agreement is below a, so [s, e] is a cell at levels
+    max(agree[s-1], agree[e]) + 1 .. min(agree[s:e]).  The levels are
+    walked upward, each step jumping to the next level at which a cell
+    splits, over the entries whose cell still holds two or more; each run
+    is reported once, at the last level at which it is whole.
+    """
+    import numpy as np
+
+    live = np.arange(len(agree) + 1)
+    gap = agree  # agreement of live neighbours, -1 where entries were dropped
+    level = 1
+    none = np.empty(0, dtype=np.int64)
+    runs = [(none, none, none)]
+    while True:
+        joined = gap >= level
+        alone = ~(np.concatenate(([False], joined)) | np.concatenate((joined, [False])))
+        if alone.any():
+            live = live[~alone]
+            if len(live) < 2:
+                break
+            gap = np.where(np.diff(live) == 1, agree[live[:-1]], -1)
+            joined = gap >= level
+        hi = gap[joined].min()
+        cut = np.flatnonzero(~joined)
+        whole = np.zeros(len(cut) + 1, dtype=bool)
+        whole[np.searchsorted(cut, np.flatnonzero(gap == hi))] = True
+        first = np.concatenate(([0], cut + 1))[whole]
+        last = np.concatenate((cut, [len(live) - 1]))[whole]
+        runs.append((live[first], live[last], np.full(len(first), hi)))
+        level = hi + 1
+    s, e, hi = map(np.concatenate, zip(*runs))
+    outside = np.concatenate(([-1], agree, [-1]))
+    lo = np.maximum(np.maximum(outside[s], outside[e + 1]) + 1, 1)
+    return s, e, lo, hi
+
+
+def _pair_sums(ps: PointSet, need: int, sizes: list[int]) -> list[int]:
+    """For each n in ``sizes``, the kernel sum over the point pairs
+    m < m' < n, times prod_i p_i**depth_i; need = max(sizes).
+
+    One pass per coordinate carries every live (cell, point) entry.  The
+    entries are sorted by cell and by rank in the coordinate's digit order,
+    the shared-digit counts of neighbours are read off the coordinate's
+    range-minimum table, and each run of entries that stays one cell over
+    a range of levels is one cell of the next coordinate, with that range's
+    summed level weight.  A cell's weight is a key into a list of exact
+    integer products, so each distinct product is multiplied once.  At the
+    last coordinate a run of k points below n holds C(k, 2) pairs.
+    """
+    import numpy as np
+
+    point = np.arange(need)
+    cell = np.zeros(need, dtype=np.int64)
+    cell_key = np.zeros(1, dtype=np.int64)
+    weights = [1]
+    for i, (p, digits) in enumerate(zip(ps.bases.primes, ps.digits)):
+        head = digits[:need]
+        depth = head.shape[1]
+        rank, table = _agreement_table(head)
+        order = np.argsort(cell * need + rank[point])
+        point, cell = point[order], cell[order]
+        s, e, lo, hi = _lcp_intervals(_adjacent_agreement(rank, table, point, cell))
+        if not len(s):
+            return [0] * len(sizes)
+        # one weight key per distinct (parent key, level range)
+        ranges, range_of = np.unique(lo * (depth + 1) + hi, return_inverse=True)
+        codes, key = np.unique(cell_key[cell[s]] * len(ranges) + range_of, return_inverse=True)
+        range_weight = [_level_weight(p, depth, *divmod(r, depth + 1)) for r in ranges.tolist()]
+        weights = [
+            weights[parent] * range_weight[r]
+            for parent, r in (divmod(c, len(ranges)) for c in codes.tolist())
+        ]
+        if i + 1 < len(ps.digits):
+            length = e - s + 1
+            if length.sum() > DIGIT_CELL_CAP:
+                raise SegmentTooLarge(need, DIGIT_CELL_CAP)
+            cell = np.repeat(np.arange(len(s)), length)
+            point = point[np.arange(len(cell)) + np.repeat(s - np.cumsum(length) + length, length)]
+            cell_key = key
+    by_key = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[by_key], np.arange(len(weights)))
+    totals = []
+    for n in sizes:
+        below = np.concatenate(([0], np.cumsum(point < n)))
+        count = (below[e + 1] - below[s])[by_key]
+        pairs = np.add.reduceat(count * (count - 1) // 2, bounds)
+        totals.append(sum(map(operator.mul, weights, pairs.tolist())))
+    return totals
 
 
 def _kernel_report(n: int, pair_sum: Fraction, sig: int) -> DiaphonyReport:
@@ -302,13 +396,14 @@ def diaphony_kernel_prefixes(
     """Kernel reports for several prefix lengths from one exact count.
 
     ``points`` is a PointSet or an iterable of Points.  Every report equals
-    ``diaphony_kernel`` on the corresponding prefix, bitwise.  The pair sum
-    is counted once over the longest prefix: a pair m < m' enters every
-    prefix longer than m', so a running count of earlier points in each
-    digit cell gives all prefix lengths at the cost of one.
+    ``diaphony_kernel`` on the corresponding prefix, bitwise.  The cells are
+    found once, over the longest prefix (see ``_pair_sums``): a pair
+    m < m' enters every prefix longer than m', so a cell holding k points
+    below n adds C(k, 2) pairs to prefix n, and each prefix length costs one
+    cumulative count over the last coordinate's cells.  Past
+    DIGIT_CELL_CAP live (cell, point) entries in one coordinate, as deep
+    near-duplicate clusters can reach, it raises SegmentTooLarge.
     """
-    import numpy as np
-
     ps = _point_set(points, bases)
     sizes = list(prefix_sizes)
     if not sizes:
@@ -316,20 +411,8 @@ def diaphony_kernel_prefixes(
     for nn in sizes:
         if not 1 <= nn <= len(ps):
             raise ValueError(f"prefix size {nn} outside 1..{len(ps)}")
-    need = max(sizes)
-    coords = []
-    scale = 1
-    for p, digits in zip(bases.primes, ps.digits):
-        head = digits[:need]
-        rank = np.empty(need, dtype=np.int64)  # position in lexicographic digit order
-        rank[np.lexsort(head.T[::-1])] = np.arange(need)
-        coords.append((p, head.shape[1], head, rank))
-        scale *= p ** head.shape[1]
-    totals = np.zeros(len(sizes), dtype=object)
-    _cell_pair_sums(
-        coords, 0, np.arange(need), np.zeros(need, dtype=np.int64), 1,
-        np.asarray(sizes), totals,
-    )
+    totals = _pair_sums(ps, max(sizes), sizes)
+    scale = math.prod(p ** d.shape[1] for p, d in zip(bases.primes, ps.digits))
     sig = weight_mass(bases)
     return [
         _kernel_report(nn, nn * sig + Fraction(2 * t, scale), sig)
@@ -346,9 +429,10 @@ def diaphony_kernel(
     it to float once, so they agree bitwise.
 
     fast  -- counts point pairs per digit cell (see
-             ``diaphony_kernel_prefixes``): integer work on digit arrays,
-             near-linear in N for well-spread points, any bases.  Takes a
-             PointSet or an iterable of Points.
+             ``diaphony_kernel_prefixes``): one sort, one range-minimum
+             table and one walk up the digit levels per coordinate, in
+             integer arrays; near-linear in N for well-spread points, any
+             bases.  Takes a PointSet or an iterable of Points.
     exact -- the oracle path: ``kernel_value`` in rationals on each of the
              N (N + 1) / 2 unordered pairs, the diagonal once and the
              others twice, since the kernel is symmetric; zero values,

@@ -297,6 +297,7 @@ def monna_inverse(x: DigitVector) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
 def default_depth(p: int) -> int:
     """Smallest m with p**m >= 2**53, capturing a double's full mantissa."""
     m, q = 1, p
@@ -311,25 +312,32 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
 
     x may be a float (converted exactly, no decimal reinterpretation) or a
     Fraction/int.  Truncation is toward zero, never rounded, so the result is
-    deterministic in the input bits.
+    deterministic in the input bits.  The digits are peeled off the one
+    integer floor(x * p**depth); a float gives its exact ratio num / den
+    (den a power of two) through ``as_integer_ratio``, other inputs through
+    ``Fraction``.
     """
     _require_prime(p)
     if depth is None:
         depth = default_depth(p)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    try:
-        q = Fraction(x)
-    except (ValueError, OverflowError) as exc:  # nan / inf floats
-        raise OutOfUnitInterval(x) from exc
-    if not 0 <= q < 1:
-        raise OutOfUnitInterval(x)
-    digits = []
-    num, den = q.numerator, q.denominator
-    for _ in range(depth):
-        num *= p
-        d, num = divmod(num, den)
-        digits.append(d)
+    if isinstance(x, float):
+        if not 0 <= x < 1:  # false for nan too
+            raise OutOfUnitInterval(x)
+        num, den = x.as_integer_ratio()
+    else:
+        try:
+            q = Fraction(x)
+        except (ValueError, OverflowError) as exc:  # nan / inf
+            raise OutOfUnitInterval(x) from exc
+        if not 0 <= q < 1:
+            raise OutOfUnitInterval(x)
+        num, den = q.numerator, q.denominator
+    scaled = num * p**depth // den
+    digits = [0] * depth
+    for j in range(depth - 1, -1, -1):
+        scaled, digits[j] = divmod(scaled, p)
     return DigitVector._trusted(p, digits)
 
 

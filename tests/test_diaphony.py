@@ -24,6 +24,7 @@ from padiaphony import (
     Point,
     PointSet,
     PrimeBases,
+    SegmentTooLarge,
     TruncationBox,
     ZeroIndex,
     block_weight_product,
@@ -53,7 +54,7 @@ from padiaphony import (
     worst_case_error,
 )
 import padiaphony.diaphony
-from padiaphony.diaphony import ENUMERATION_CAP, _check_box, _first_near_max
+from padiaphony.diaphony import ENUMERATION_CAP, _check_box, _first_near_max, _kernel_report
 from padiaphony.padic import _point_list
 
 B2 = validate_bases([2])
@@ -359,6 +360,120 @@ def test_exact_mode_equals_ordered_double_sum_and_fast_route(primes):
         assert exact == diaphony_kernel(pts, bases, mode="fast")
 
     check()
+
+
+# The counting route as it was computed before its breadth-first pass: one
+# recursive call per run of digit levels, per cell group, per coordinate.
+_EQUAL = 2**63 - 1
+
+
+def _level_weight(p, depth, lo, hi):
+    tail = 0 if hi == _EQUAL else p ** (depth - hi)
+    return (p + 1) * (p ** (depth + 1 - lo) - tail)
+
+
+def _cell_pair_sums(coords, i, idx, cell, weight, sizes, totals):
+    p, depth, digits, rank = coords[i]
+    n = len(idx)
+    order = np.argsort(cell * len(rank) + rank[idx])
+    run = digits[idx[order]]
+    differ = run[1:] != run[:-1]
+    agree = np.where(differ.any(axis=1), differ.argmax(axis=1), _EQUAL)
+    agree[cell[order[1:]] != cell[order[:-1]]] = -1
+    last = i + 1 == len(coords)
+    if last:
+        before = np.searchsorted(idx, sizes)
+    lo = 1
+    for hi in np.unique(agree[agree > 0]).tolist():
+        group = np.empty(n, dtype=np.int64)
+        group[order] = np.concatenate(([0], np.cumsum(agree < lo)))
+        counts = np.bincount(group)
+        if counts.max() < 2:
+            break
+        w = weight * _level_weight(p, depth, lo, hi)
+        if last:
+            by_index = np.argsort(group, kind="stable")
+            first = np.cumsum(counts) - counts
+            earlier = np.empty(n, dtype=np.int64)
+            earlier[by_index] = np.arange(n) - first[group[by_index]]
+            pairs = np.concatenate(([0], np.cumsum(earlier)))[before]
+            totals += pairs.astype(object) * w
+        else:
+            keep = counts[group] > 1
+            dense = np.cumsum(counts > 1) - 1
+            _cell_pair_sums(coords, i + 1, idx[keep], dense[group[keep]], w, sizes, totals)
+        lo = hi + 1
+
+
+def _recursive_prefixes(ps, bases, sizes):
+    need = max(sizes)
+    coords, scale = [], 1
+    for p, digits in zip(bases.primes, ps.digits):
+        head = digits[:need]
+        rank = np.empty(need, dtype=np.int64)
+        rank[np.lexsort(head.T[::-1])] = np.arange(need)
+        coords.append((p, head.shape[1], head, rank))
+        scale *= p ** head.shape[1]
+    totals = np.zeros(len(sizes), dtype=object)
+    _cell_pair_sums(coords, 0, np.arange(need), np.zeros(need, dtype=np.int64), 1,
+                    np.asarray(sizes), totals)
+    sig = weight_mass(bases)
+    return [_kernel_report(n, n * sig + Fraction(2 * t, scale), sig)
+            for n, t in zip(sizes, totals)]
+
+
+def _ingested_set(count, primes, seed):
+    """``count`` seeded float rows at the default depth, one in eight a
+    copy of an earlier row."""
+    bases = validate_bases(primes)
+    rng = random.Random(seed)
+    rows = []
+    for i in range(count):
+        if i and rng.random() < 1 / 8:
+            rows.append(rows[rng.randrange(i)])
+        else:
+            rows.append([rng.random() for _ in primes])
+    return bases, PointSet.from_points([point_from_values(r, bases) for r in rows], bases)
+
+
+def _binary_digit_50_cluster():
+    """40 ingested points in bases (2, 3, 5, 7) and a cluster of 24 points
+    equal to the first of them but for binary digit 50 of the first
+    coordinate, with and without one of the last coordinate's points."""
+    bases, pts = _deep_near_duplicates()
+    x = pts[0].coords[0]
+    for k in range(24):
+        flipped = _with_digit(x, 50, k % 2)
+        pts.append(Point((flipped,) + pts[0].coords[1:3] + pts[k % 3 + 42].coords[3:]))
+    return bases, PointSet.from_points(pts, bases)
+
+
+@pytest.mark.parametrize(
+    "case, sizes",
+    [
+        (lambda: _ingested_set(2048, (2, 3, 5), 11), [2048]),
+        (lambda: _ingested_set(8192, (2, 3, 5), 12), [8192, 1, 4097]),
+        (lambda: _ingested_set(512, (2, 65537), 13), [512, 300, 2]),
+        (lambda: (validate_bases((2, 3, 5, 7)),
+                  halton_set(2048, validate_bases((2, 3, 5, 7)), 12345)), [2048, 1000]),
+        (_binary_digit_50_cluster, [70, 46, 45, 1]),
+        (lambda: _ingested_set(300, (2, 3), 14), [17, 300, 5, 17, 300, 1, 5]),
+    ],
+    ids=["ingested-2048", "ingested-8192", "bases-2-65537", "halton-2357",
+         "binary-digit-50", "unsorted-repeated-sizes"],
+)
+def test_counting_route_equals_recursive_oracle(case, sizes):
+    bases, ps = case()
+    assert diaphony_kernel_prefixes(ps, bases, sizes) == _recursive_prefixes(ps, bases, sizes)
+
+
+def test_counting_route_caps_its_live_entries(monkeypatch):
+    bases, ps = _binary_digit_50_cluster()
+    assert diaphony_kernel(ps, bases).n_points == len(ps)
+    monkeypatch.setattr(padiaphony.diaphony, "DIGIT_CELL_CAP", len(ps))
+    with pytest.raises(SegmentTooLarge):
+        diaphony_kernel(ps, bases)
+    assert diaphony_kernel(ps, bases, mode="exact").n_points == len(ps)
 
 
 def test_exact_mode_calls_the_kernel_once_per_unordered_pair(monkeypatch):

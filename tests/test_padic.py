@@ -1,9 +1,13 @@
 """Digit arithmetic, character phases, and their exactness guarantees."""
 
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padiaphony import (
     BaseMismatch,
@@ -148,6 +152,56 @@ def test_float_to_digits_rejects_outside_unit_interval():
             float_to_digits(bad, 2, 4)
     with pytest.raises(NonPrimeBase):
         float_to_digits(0.5, 9, 4)
+
+
+def _digit_loop(x, p, depth):
+    """The expansion float_to_digits computed before it scaled to one
+    integer: ``depth`` multiply-divmod steps against a Fraction."""
+    if depth is None:
+        depth = default_depth(p)
+    q = Fraction(x)
+    num, den = q.numerator, q.denominator
+    digits = []
+    for _ in range(depth):
+        num *= p
+        d, num = divmod(num, den)
+        digits.append(d)
+    return DigitVector(p, tuple(digits))
+
+
+UNIT_VALUES = st.one_of(
+    st.floats(0, 1, exclude_max=True),
+    st.sampled_from((0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.nextafter(1.0, 0.0))),
+    st.fractions(0, 1, max_denominator=10**30).filter(lambda q: q < 1),
+    st.just(0),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    x=UNIT_VALUES,
+    p=st.sampled_from((2, 3, 5, 7, 11, 40009, 65537)),
+    depth=st.one_of(st.none(), st.integers(1, 70)),
+)
+@example(x=5e-324, p=65537, depth=None)
+@example(x=1 - 2**-53, p=2, depth=1)
+@example(x=-0.0, p=3, depth=60)
+def test_float_to_digits_equals_the_digit_loop(x, p, depth):
+    assert float_to_digits(x, p, depth) == _digit_loop(x, p, depth)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [-0.25, -5e-324, 1.0, 1.5, float("nan"), float("inf"), float("-inf"),
+     Fraction(-1, 3), Fraction(1), 1, -1, Decimal("NaN"), Decimal("Infinity")],
+)
+def test_float_to_digits_rejects_every_kind_of_input_outside_the_interval(bad):
+    with pytest.raises(OutOfUnitInterval):
+        float_to_digits(bad, 3)
+    with pytest.raises(NonPrimeBase):
+        float_to_digits(bad, 9)
+    with pytest.raises(ValueError, match="depth"):
+        float_to_digits(bad, 2, 0)
 
 
 # --- p-adic characters
