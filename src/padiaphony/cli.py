@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .diaphony import (
+    _check_box,
     diaphony_spectral,
     halton_diaphony_bound,
     halton_diaphony_prefixes,
@@ -169,6 +170,7 @@ def cmd_halton(config: RunConfig) -> int:
 
 def cmd_diaphony(config: RunConfig) -> int:
     if config.method == "spectral":
+        _check_box(config.box, config.bases)  # before any point is built
         points = halton_set(config.count, config.bases, config.start)
         report = diaphony_spectral(points, config.bases, config.box)
     elif config.box is not None:

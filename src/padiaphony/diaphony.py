@@ -8,10 +8,10 @@ unordered pairs in rationals.  For a contiguous Halton segment,
 (bases, start, N) alone, by CRT, and builds no point.  All three yield
 the squared diaphony as one exact rational, rounded to float once.  The
 spectral route sums weighted squared Weyl sums over a finite index box
-and carries the exact analytic tail, yielding a rigorous enclosure of the
-squared diaphony.  On top sit the worst-case-error identity, the
-asymptotic bound for Halton prefixes, and the per-index Weyl-sum ceiling
-check.
+and adds the exact analytic tail, yielding an enclosure of the squared
+diaphony up to the rounding of the float boxed sum.  On top sit the
+worst-case-error identity, the asymptotic bound for Halton prefixes, and
+the per-index Weyl-sum ceiling check.
 
 numpy is imported inside the functions that build arrays, so the closed
 form, the bound and the scalar oracles run without loading it.
@@ -178,6 +178,21 @@ def _full_reversal(p: int, g: int) -> np.ndarray:
     return rev
 
 
+def _histogram(ps: PointSet, bases: PrimeBases, box: TruncationBox, dtype) -> np.ndarray:
+    """Point counts on the grid of X = monna_inverse(x) mod p**g, of shape
+    ``(p_1**g_1, ..., p_s**g_s)`` and the given dtype.  X mod p**g is read
+    off the first g digit columns, and one bincount runs over the flat cell
+    index."""
+    import numpy as np
+
+    sizes = [p**g for p, g in zip(bases.primes, box.exponents)]
+    flat = np.zeros(len(ps), dtype=np.int64)
+    for d, p, g, size in zip(ps.digits, bases.primes, box.exponents, sizes):
+        head = d[:, :g]
+        flat = flat * size + head @ p ** np.arange(head.shape[1])
+    return np.bincount(flat, minlength=math.prod(sizes)).astype(dtype).reshape(sizes)
+
+
 def weyl_sum_table(
     points: PointSet | Iterable[Point],
     bases: PrimeBases,
@@ -207,13 +222,7 @@ def weyl_sum_table(
     _check_box(box, bases)
     if system not in ("padic", "walsh"):
         raise ValueError(f"unknown function system {system!r}")
-    sizes = [p**g for p, g in zip(bases.primes, box.exponents)]
-
-    # X mod p**g from the first g digit columns
-    heads = [d[:, :g] for d, g in zip(ps.digits, box.exponents)]
-    cells = tuple(h @ p ** np.arange(h.shape[1]) for h, p in zip(heads, bases.primes))
-    H = np.zeros(sizes, dtype=complex)
-    np.add.at(H, cells, 1)
+    H = _histogram(ps, bases, box, complex)
     if system == "padic":
         np.fft.ifftn(H, norm="forward", out=H)
         return H[np.ix_(*(_full_reversal(p, g) for p, g in zip(bases.primes, box.exponents)))]
@@ -523,25 +532,95 @@ def halton_diaphony_prefixes(
 # Spectral route
 
 
-def _sub_box_sums(S: np.ndarray, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
-    """sum of weight(k) * |S(k)|**2 over the nonzero k of every sub-box.
+@lru_cache(maxsize=64)
+def _valuation_blocks(p: int, g: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weight blocks of frequencies 0..length-1 of an axis of size
+    P = p**g: the frequencies sorted by block, and each block's start.
 
-    Entry g' - 1 is the sum over the sub-box g' <= box.  The weight of k_i is
-    1 on k_i < p_i and p_i**-2t on p_i**t <= k_i < p_i**(t+1), so along each
-    axis the energies are summed per weight block, scaled by the block
-    weight, and accumulated over the blocks.
+    Frequency j holds k = rev(j), whose top digit sits at place g - 1 -
+    v_p(j), so k lies in block t = g - 1 - v_p(j); j = 0 (k = 0) and every
+    multiple of p**(g-1) fall in block 0.  Block t is also
+    g - 1 - #{1 <= v < g : p**v divides j}, which needs no case for j = 0.
     """
     import numpy as np
 
-    E = np.abs(S) ** 2
+    j = np.arange(length)
+    block = np.full(length, g - 1)
+    for v in range(1, g):
+        block -= j % p**v == 0
+    order = np.argsort(block, kind="stable")
+    starts = np.searchsorted(block[order], np.arange(g))
+    order.setflags(write=False)
+    starts.setflags(write=False)
+    return order, starts
+
+
+def _half_spectrum_energies(
+    ps: PointSet, bases: PrimeBases, box: TruncationBox
+) -> tuple[np.ndarray, list]:
+    """|S(k)|**2 for every k of the box, on the half spectrum at frequency
+    j = rev(k), with each axis's weight blocks.
+
+    The histogram is real, so its DFT at -j is the conjugate of that at j:
+    the last axis keeps frequencies 0..P/2 (``rfft``), and each interior
+    column counts twice for the column P - j it stands for.  The column
+    P - j lies in the same weight block, since v_p(P - j) = v_p(j) for
+    0 < j < P, and so does -j_i on every other axis.  Column 0 and, for
+    p = 2, the Nyquist column P/2 are their own conjugates and count once.
+    The transform's sign does not change |S|**2.
+    """
+    import numpy as np
+
+    H = _histogram(ps, bases, box, float)
+    T = np.fft.rfft(H)
+    del H
+    for axis in range(T.ndim - 1):
+        np.fft.fft(T, axis=axis, out=T)
+    E = np.abs(T)
+    del T
+    E *= E
+    P = bases.primes[-1] ** box.exponents[-1]
+    E[..., 1 : (P + 1) // 2] *= 2
+    blocks = [_valuation_blocks(p, g, n) for p, g, n in zip(bases.primes, box.exponents, E.shape)]
+    return E, blocks
+
+
+def _sub_box_sums(E: np.ndarray, blocks, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
+    """sum of weight(k) * |S(k)|**2 over the nonzero k of every sub-box.
+
+    ``E`` holds the energies |S(k)|**2 with k = 0 at the origin, and is
+    overwritten there.  ``blocks`` gives per axis an index that puts the
+    axis in weight-block order and the start of each block.  Entry g' - 1
+    of the result is the sum over the sub-box g' <= box.  The weight of k_i
+    is 1 on k_i < p_i and p_i**-2t on p_i**t <= k_i < p_i**(t+1), so along
+    each axis the energies are summed per weight block, scaled by the block
+    weight, and accumulated over the blocks.  Only sums and elementwise
+    products run, so the result does not depend on the thread count.
+    """
+    import numpy as np
+
     E.flat[0] = 0.0
-    for axis, (p, g) in enumerate(zip(bases.primes, box.exponents)):
+    for axis, (p, g, (order, starts)) in enumerate(zip(bases.primes, box.exponents, blocks)):
         shape = [1] * E.ndim
         shape[axis] = g
         weights = np.array([1.0 / p ** (2 * t) for t in range(g)]).reshape(shape)
-        starts = [0] + [p**t for t in range(1, g)]
+        E = E[(slice(None),) * axis + (order,)]
         E = np.cumsum(np.add.reduceat(E, starts, axis=axis) * weights, axis=axis)
     return E
+
+
+def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox, system: str) -> np.ndarray:
+    """The block-energy reduction for ``system``: the p-adic energies come
+    from the half spectrum, the Walsh ones from the k-indexed table."""
+    _check_box(box, bases)
+    if system == "padic":
+        E, blocks = _half_spectrum_energies(ps, bases, box)
+    else:
+        E = abs(weyl_sum_table(ps, bases, box, system=system)) ** 2
+        # k order already: block t starts at k = p**t
+        blocks = [(slice(None), [0] + [p**t for t in range(1, g)])
+                  for p, g in zip(bases.primes, box.exponents)]
+    return _sub_box_sums(E, blocks, bases, box)
 
 
 def truncated_spectral_sum(
@@ -557,9 +636,8 @@ def truncated_spectral_sum(
     the full-box entry of the block-energy reduction that ``enclosure_grid``
     reads for every sub-box."""
     ps = _point_set(points, bases)
-    S = weyl_sum_table(ps, bases, box, system=system)
     n = len(ps)
-    total = _sub_box_sums(S, bases, box)[(-1,) * bases.dimension]
+    total = _boxed_sums(ps, bases, box, system)[(-1,) * bases.dimension]
     return float(total) / (n * n) / (weight_mass(bases) - 1)
 
 
@@ -574,12 +652,15 @@ def diaphony_spectral(
     bases: PrimeBases,
     box: TruncationBox,
 ) -> DiaphonyReport:
-    """Diaphony via truncated spectral sums, with a rigorous enclosure.
+    """Diaphony via truncated spectral sums, with an enclosure.
 
     ``points`` is a PointSet or an iterable of Points.  ``lower`` is the
     boxed sum (``truncated_spectral_sum``); ``upper`` adds the exact
-    analytic tail, and the true squared diaphony always lies between them.
-    The reported point value is the midpoint of the enclosure.
+    analytic tail.  The exact squared diaphony lies between the exact boxed
+    sum and that sum plus the tail, but ``lower`` is a float sum that can
+    round a few ulps above the exact boxed sum, so the enclosure holds up to
+    that rounding, not rigorously.  The reported point value is the
+    midpoint of the enclosure.
     """
     ps = _point_set(points, bases)
     lower = truncated_spectral_sum(ps, bases, box, system="padic")
@@ -601,17 +682,17 @@ def enclosure_grid(
     bases: PrimeBases,
     box: TruncationBox,
 ) -> dict[tuple[int, ...], tuple[float, float]]:
-    """Enclosures for every sub-box g' <= box, from a single Weyl-sum table.
+    """Enclosures for every sub-box g' <= box, from a single transform.
 
     ``points`` is a PointSet or an iterable of Points.  Weyl sums and index
     weights do not depend on the box, so one block-energy reduction of one
-    table gives every sub-box's boxed sum; the entry for ``box`` itself
+    spectrum gives every sub-box's boxed sum; the entry for ``box`` itself
     equals ``diaphony_spectral(points, bases, box).enclosure`` bitwise.
     """
     import numpy as np
 
     ps = _point_set(points, bases)
-    sums = _sub_box_sums(weyl_sum_table(ps, bases, box), bases, box)
+    sums = _boxed_sums(ps, bases, box, "padic")
     n = len(ps)
     sig = weight_mass(bases)
     out = {}

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from padiaphony import BoxTooLarge
 from padiaphony.cli import main
+from padiaphony.diaphony import ENUMERATION_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -190,6 +192,18 @@ def test_huge_box_is_a_resource_cap_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "cap" in err
+
+
+def test_spectral_box_is_checked_before_points_are_built(capsys, monkeypatch):
+    def no_points(*args):
+        raise AssertionError("points built before the box check")
+
+    monkeypatch.setattr("padiaphony.cli.halton_set", no_points)
+    code, out, err = run(capsys, "diaphony", "--bases", "2", "--count", "1000000",
+                         "--method", "spectral", "--g", "23")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {BoxTooLarge((23,), ENUMERATION_CAP)}\n"
 
 
 def test_bound_beyond_the_index_space_is_a_usage_error(capsys):

@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -647,6 +648,9 @@ def _weighted_energy_oracle(table, bases):
         ((5,), (3,)),
         ((2, 2, 3), (3, 1, 2)),  # repeated bases and a g = 1 axis
         ((65537,), (1,)),
+        ((3, 2), (2, 3)),  # p = 2 on the half axis: a Nyquist column
+        ((2,), (1,)),  # a half axis of length 2
+        ((7, 5), (1, 2)),  # every axis odd
     ],
 )
 def test_block_energy_reduction_matches_weight_oracle(primes, exps):
@@ -658,11 +662,29 @@ def test_block_energy_reduction_matches_weight_oracle(primes, exps):
         table = weyl_sum_table(pts, bases, box, system=system)
         got = truncated_spectral_sum(pts, bases, box, system=system)
         assert abs(got - _weighted_energy_oracle(table, bases)) < 1e-12
-    # every sub-box entry of the grid reads the same reduction of the same table
+        assert got == truncated_spectral_sum(pts, bases, box, system=system)
+    # every sub-box entry of the grid reads the same reduction of the k table
     table = weyl_sum_table(pts, bases, box)
-    for sub, (lower, _) in enclosure_grid(pts, bases, box).items():
+    grid = enclosure_grid(pts, bases, box)
+    assert grid == enclosure_grid(pts, bases, box)
+    for sub, (lower, _) in grid.items():
         corner = table[tuple(slice(0, p**g) for p, g in zip(primes, sub))]
         assert abs(lower - _weighted_energy_oracle(corner, bases)) < 1e-12
+
+
+def test_spectral_sum_traced_peak_is_at_most_20_bytes_per_box_entry():
+    # the energies come from a half spectrum of the real histogram; a
+    # complex k-indexed table and its reversal gather would take 32
+    ps = halton_set(8192, B23)
+    box = TruncationBox((10, 6))
+    truncated_spectral_sum(ps, B23, box)  # fills the per-axis caches
+    tracemalloc.start()
+    try:
+        truncated_spectral_sum(ps, B23, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**10 * 3**6
 
 
 def test_truncated_spectral_sum_systems_agree_at_equal_bases():
