@@ -37,6 +37,7 @@ from .padic import (
     Point,
     PointSet,
     PrimeBases,
+    _as_int,
     _point_list,
     _require_bases,
     char_product,
@@ -414,7 +415,7 @@ def diaphony_kernel_prefixes(
     near-duplicate clusters can reach, it raises SegmentTooLarge.
     """
     ps = _point_set(points, bases)
-    sizes = list(prefix_sizes)
+    sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
     if not sizes:
         return []
     for nn in sizes:
@@ -501,7 +502,7 @@ def halton_diaphony_prefixes(
     prod_i p_i**A_i, p_i**A_i <= max(sizes), and rounded once per size.
     """
     bases.require_distinct()
-    sizes = list(prefix_sizes)
+    sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
     if not sizes or min(sizes) < 1:
         raise ValueError("prefix sizes must be a nonempty list of positive integers")
     limit = max(sizes)
@@ -555,22 +556,26 @@ def _valuation_blocks(p: int, g: int, length: int) -> tuple[np.ndarray, np.ndarr
     return order, starts
 
 
-def _half_spectrum_energies(
-    ps: PointSet, bases: PrimeBases, box: TruncationBox
-) -> tuple[np.ndarray, list]:
-    """|S(k)|**2 for every k of the box, on the half spectrum at frequency
-    j = rev(k), with each axis's weight blocks.
+def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
+    """The boxed part of the squared diaphony for every sub-box g' <= box:
+    entry g' - 1 is (1/(sigma - 1)) * sum over the nonzero k of g' of
+    weight(k) * |S(k)/N|**2.
 
-    The histogram is real, so its DFT at -j is the conjugate of that at j:
-    the last axis keeps frequencies 0..P/2 (``rfft``), and each interior
-    column counts twice for the column P - j it stands for.  The column
-    P - j lies in the same weight block, since v_p(P - j) = v_p(j) for
-    0 < j < P, and so does -j_i on every other axis.  Column 0 and, for
-    p = 2, the Nyquist column P/2 are their own conjugates and count once.
-    The transform's sign does not change |S|**2.
+    |S(k)|**2 is read at frequency j = rev(k) of the half spectrum of the
+    point histogram (the transform's sign does not change it).  The
+    histogram is real, so its DFT at -j is the conjugate of that at j: the
+    last axis keeps frequencies 0..P/2 (``rfft``), and each interior column
+    counts twice for its mirror -j, which lies in the same weight blocks on
+    every axis since v_p(P - j) = v_p(j) for 0 < j < P.  Column 0 and, for
+    p = 2, the Nyquist column P/2 count once.  The weight of k_i is
+    p_i**-2t on block t (p_i**t <= k_i < p_i**(t+1); k_i < p_i is block 0),
+    so along each axis the energies are summed per block, scaled and
+    accumulated over the blocks.  Only sums and elementwise products run,
+    so the result does not depend on the thread count.
     """
     import numpy as np
 
+    _check_box(box, bases)
     H = _histogram(ps, bases, box, float)
     T = np.fft.rfft(H)
     del H
@@ -581,64 +586,30 @@ def _half_spectrum_energies(
     E *= E
     P = bases.primes[-1] ** box.exponents[-1]
     E[..., 1 : (P + 1) // 2] *= 2
-    blocks = [_valuation_blocks(p, g, n) for p, g, n in zip(bases.primes, box.exponents, E.shape)]
-    return E, blocks
-
-
-def _sub_box_sums(E: np.ndarray, blocks, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
-    """sum of weight(k) * |S(k)|**2 over the nonzero k of every sub-box.
-
-    ``E`` holds the energies |S(k)|**2 with k = 0 at the origin, and is
-    overwritten there.  ``blocks`` gives per axis an index that puts the
-    axis in weight-block order and the start of each block.  Entry g' - 1
-    of the result is the sum over the sub-box g' <= box.  The weight of k_i
-    is 1 on k_i < p_i and p_i**-2t on p_i**t <= k_i < p_i**(t+1), so along
-    each axis the energies are summed per weight block, scaled by the block
-    weight, and accumulated over the blocks.  Only sums and elementwise
-    products run, so the result does not depend on the thread count.
-    """
-    import numpy as np
-
     E.flat[0] = 0.0
-    for axis, (p, g, (order, starts)) in enumerate(zip(bases.primes, box.exponents, blocks)):
-        shape = [1] * E.ndim
-        shape[axis] = g
-        weights = np.array([1.0 / p ** (2 * t) for t in range(g)]).reshape(shape)
+    for axis, (p, g) in enumerate(zip(bases.primes, box.exponents)):
+        order, starts = _valuation_blocks(p, g, E.shape[axis])
+        weights = np.array([1.0 / p ** (2 * t) for t in range(g)])
+        weights = weights.reshape((g,) + (1,) * (E.ndim - 1 - axis))
         E = E[(slice(None),) * axis + (order,)]
         E = np.cumsum(np.add.reduceat(E, starts, axis=axis) * weights, axis=axis)
-    return E
-
-
-def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox, system: str) -> np.ndarray:
-    """The block-energy reduction for ``system``: the p-adic energies come
-    from the half spectrum, the Walsh ones from the k-indexed table."""
-    _check_box(box, bases)
-    if system == "padic":
-        E, blocks = _half_spectrum_energies(ps, bases, box)
-    else:
-        E = abs(weyl_sum_table(ps, bases, box, system=system)) ** 2
-        # k order already: block t starts at k = p**t
-        blocks = [(slice(None), [0] + [p**t for t in range(1, g)])
-                  for p, g in zip(bases.primes, box.exponents)]
-    return _sub_box_sums(E, blocks, bases, box)
+    n = len(ps)
+    return E / (n * n) / float(weight_mass(bases) - 1)
 
 
 def truncated_spectral_sum(
     points: PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
-    system: str = "padic",
 ) -> float:
     """The boxed part of the squared diaphony:
     (1/(sigma - 1)) * sum over nonzero boxed k of weight(k) * |S(k)/N|**2.
 
-    ``points`` is a PointSet or an iterable of Points.  The weighted sum is
-    the full-box entry of the block-energy reduction that ``enclosure_grid``
-    reads for every sub-box."""
+    ``points`` is a PointSet or an iterable of Points.  The value is the
+    full-box entry of the sub-box sums that ``enclosure_grid`` reads for
+    every sub-box."""
     ps = _point_set(points, bases)
-    n = len(ps)
-    total = _boxed_sums(ps, bases, box, system)[(-1,) * bases.dimension]
-    return float(total) / (n * n) / (weight_mass(bases) - 1)
+    return float(_boxed_sums(ps, bases, box)[(-1,) * bases.dimension])
 
 
 def spectral_tail(bases: PrimeBases, box: TruncationBox) -> Fraction:
@@ -663,7 +634,7 @@ def diaphony_spectral(
     midpoint of the enclosure.
     """
     ps = _point_set(points, bases)
-    lower = truncated_spectral_sum(ps, bases, box, system="padic")
+    lower = truncated_spectral_sum(ps, bases, box)
     tail = spectral_tail(bases, box)
     upper = lower + float(tail)
     f_squared = _clamp_unit(lower + float(tail) / 2)
@@ -687,20 +658,17 @@ def enclosure_grid(
     ``points`` is a PointSet or an iterable of Points.  Weyl sums and index
     weights do not depend on the box, so one block-energy reduction of one
     spectrum gives every sub-box's boxed sum; the entry for ``box`` itself
-    equals ``diaphony_spectral(points, bases, box).enclosure`` bitwise.
+    reads the value ``truncated_spectral_sum`` returns, so it equals
+    ``diaphony_spectral(points, bases, box).enclosure`` bitwise.
     """
     import numpy as np
 
-    ps = _point_set(points, bases)
-    sums = _boxed_sums(ps, bases, box, "padic")
-    n = len(ps)
-    sig = weight_mass(bases)
+    lowers = _boxed_sums(_point_set(points, bases), bases, box)
     out = {}
-    for idx in np.ndindex(sums.shape):
+    for idx in np.ndindex(lowers.shape):
         exps = tuple(i + 1 for i in idx)
-        lower = float(sums[idx]) / (n * n) / (sig - 1)
-        tail = spectral_tail(bases, TruncationBox(exps))
-        out[exps] = (lower, lower + float(tail))
+        lower = float(lowers[idx])
+        out[exps] = (lower, lower + float(spectral_tail(bases, TruncationBox(exps))))
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,6 +69,15 @@ def is_prime(n: int) -> bool:
 def _require_prime(p) -> None:
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise NonPrimeBase(p)
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int (``operator.index``); anything else raises
+    ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -280,6 +290,7 @@ def monna(n: int, p: int) -> DigitVector:
     n = sum_r z_r p**r maps to the coordinate sum_r z_r p**(-r-1).
     """
     _require_prime(p)
+    n = _as_int(n, "index")
     if n < 0:
         raise ValueError("n must be nonnegative")
     digits = []

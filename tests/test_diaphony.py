@@ -253,9 +253,13 @@ def test_prefix_sweep_matches_direct_evaluation():
 
 def test_prefix_sweep_validates_sizes():
     pts = list(halton_stream(4, B2))
-    with pytest.raises(ValueError):
-        diaphony_kernel_prefixes(pts, B2, [5])
+    for sizes in ([5], [2.5], [2, float("inf")], [np.float64(3.0)]):
+        with pytest.raises(ValueError):
+            diaphony_kernel_prefixes(pts, B2, sizes)
     assert diaphony_kernel_prefixes(pts, B2, []) == []
+    [report] = diaphony_kernel_prefixes(pts, B2, [np.int64(3)])
+    assert type(report.n_points) is int
+    assert report == diaphony_kernel_prefixes(pts, B2, [3])[0]
 
 
 @pytest.mark.parametrize("primes", [(2, 65537), (40009,)])
@@ -531,7 +535,7 @@ def test_halton_closed_form_equals_counting_route_on_drawn_segments(case):
 def test_halton_closed_form_validates_its_input():
     with pytest.raises(DuplicateBase):
         halton_diaphony_prefixes(PrimeBases((2, 3, 2)), [4])
-    for sizes in ([], [0], [4, 0], [-1]):
+    for sizes in ([], [0], [4, 0], [-1], [2.5], [4, float("inf")], [np.float64(3.0)]):
         with pytest.raises(ValueError):
             halton_diaphony_prefixes(B23, sizes)
     with pytest.raises(ValueError):
@@ -658,11 +662,13 @@ def test_block_energy_reduction_matches_weight_oracle(primes, exps):
     bases = PrimeBases(primes)
     pts = rand_points(rng, primes, 23)
     box = TruncationBox(exps)
+    got = truncated_spectral_sum(pts, bases, box)
+    assert got == truncated_spectral_sum(pts, bases, box)
+    # the boxed kernel depends only on shared leading digits, so the Walsh
+    # table gives the same weighted sum
     for system in ("padic", "walsh"):
         table = weyl_sum_table(pts, bases, box, system=system)
-        got = truncated_spectral_sum(pts, bases, box, system=system)
         assert abs(got - _weighted_energy_oracle(table, bases)) < 1e-12
-        assert got == truncated_spectral_sum(pts, bases, box, system=system)
     # every sub-box entry of the grid reads the same reduction of the k table
     table = weyl_sum_table(pts, bases, box)
     grid = enclosure_grid(pts, bases, box)
@@ -692,15 +698,15 @@ def test_truncated_spectral_sum_systems_agree_at_equal_bases():
     b22 = PrimeBases((2, 2))
     pts = rand_points(rng, (2, 2), 12)
     box = TruncationBox((3, 2))
-    a = truncated_spectral_sum(pts, b22, box, system="padic")
-    w = truncated_spectral_sum(pts, b22, box, system="walsh")
+    a = truncated_spectral_sum(pts, b22, box)
+    w = _weighted_energy_oracle(weyl_sum_table(pts, b22, box, system="walsh"), b22)
     assert abs(a - w) < 1e-10
 
 
-def test_truncated_spectral_sum_rejects_unknown_system():
+def test_weyl_sum_table_rejects_unknown_system():
     pts = list(halton_stream(2, B2))
     with pytest.raises(ValueError):
-        truncated_spectral_sum(pts, B2, TruncationBox((1,)), system="fourier")
+        weyl_sum_table(pts, B2, TruncationBox((1,)), system="fourier")
 
 
 # --- PointSet input
@@ -714,9 +720,7 @@ def _assert_forms_agree(pts, ps, bases, box, sizes):
         a = weyl_sum_table(ps, bases, box, system=system)
         b = weyl_sum_table(pts, bases, box, system=system)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert truncated_spectral_sum(ps, bases, box, system) == truncated_spectral_sum(
-            pts, bases, box, system
-        )
+    assert truncated_spectral_sum(ps, bases, box) == truncated_spectral_sum(pts, bases, box)
     assert enclosure_grid(ps, bases, box) == enclosure_grid(pts, bases, box)
     assert diaphony_spectral(ps, bases, box) == diaphony_spectral(pts, bases, box)
 

@@ -5,6 +5,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from padiaphony import (
     char_product,
     default_depth,
     float_to_digits,
+    halton_point,
     monna,
     monna_inverse,
     padic_phase,
@@ -115,6 +117,15 @@ def test_monna_and_ingest_build_canonical_digit_vectors():
             dv = monna(n, p)
             assert type(dv.digits) is tuple
             assert dv == DigitVector(p, dv.digits) and hash(dv) == hash(DigitVector(p, dv.digits))
+    # a numpy integer index gives the same Python-int digits
+    dv = monna(np.int64(6), 3)
+    assert dv == monna(6, 3) and all(type(d) is int for d in dv.digits)
+    # anything not an integer is rejected before a digit is built, inf included
+    for n in (2.5, float("inf"), float("nan"), "6", np.float64(6.0)):
+        with pytest.raises(ValueError):
+            monna(n, 2)
+    with pytest.raises(ValueError):
+        halton_point(2.5, PrimeBases((2, 3)))
     for x, p, depth in ((0.5, 2, 8), (0.0, 3, None), (0.25, 65537, None), (0.999, 5, 3)):
         dv = float_to_digits(x, p, depth)
         assert type(dv.digits) is tuple
