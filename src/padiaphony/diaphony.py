@@ -165,18 +165,17 @@ def weyl_sum(points, k: IndexVector, bases: PrimeBases) -> complex:
     return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
 
-@lru_cache(maxsize=64)
-def _full_reversal(p: int, g: int) -> np.ndarray:
-    """The g-digit base-p reversal of every k < p**g."""
-    import numpy as np
+def _digit_shape(bases: PrimeBases, box: TruncationBox) -> list[int]:
+    """Each axis of size p**g as g axes of size p, most significant digit first."""
+    return [p for p, g in zip(bases.primes, box.exponents) for _ in range(g)]
 
-    q = np.arange(p**g, dtype=np.int64)
-    rev = np.zeros_like(q)
-    for _ in range(g):
-        q, digit = np.divmod(q, p)
-        rev = rev * p + digit
-    rev.setflags(write=False)
-    return rev
+
+def _digit_reversed(a: np.ndarray, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
+    """A copy of ``a`` with entry k equal to a[rev(k)], rev the g-digit
+    base-p reversal on every axis: each axis's digit axes in reverse order."""
+    axis_of = [i for i, g in enumerate(box.exponents) for _ in range(g)]
+    axes = sorted(range(len(axis_of)), key=lambda d: (axis_of[d], -d))
+    return a.reshape(_digit_shape(bases, box)).transpose(axes).reshape(a.shape)
 
 
 def _histogram(ps: PointSet, bases: PrimeBases, box: TruncationBox, dtype) -> np.ndarray:
@@ -211,10 +210,10 @@ def weyl_sum_table(
     so the table is one unnormalized inverse DFT of the point histogram on
     the grid of X values.  The k-th p-adic character at x is
     exp(2 pi i rev(k) X / p**g), with rev the g-digit reversal, so the
-    p-adic table is the transform read off at the reversed frequencies.  The
-    Walsh functions pair the digits of k with those of X, so the Walsh table
-    is the same transform over one axis of size p per digit, and its flat
-    layout already puts entry k at index k.  The cost is
+    p-adic table is the transform with the order of each axis's base-p
+    digits reversed.  The Walsh functions pair the digits of k with those
+    of X, so the Walsh table is the same transform over one axis of size p
+    per digit, and its flat layout already puts entry k at index k.  The cost is
     O(N + |box| log |box|); boxes over ENUMERATION_CAP raise BoxTooLarge.
     """
     import numpy as np
@@ -226,8 +225,8 @@ def weyl_sum_table(
     H = _histogram(ps, bases, box, complex)
     if system == "padic":
         np.fft.ifftn(H, norm="forward", out=H)
-        return H[np.ix_(*(_full_reversal(p, g) for p, g in zip(bases.primes, box.exponents)))]
-    digit_axes = H.reshape([p for p, g in zip(bases.primes, box.exponents) for _ in range(g)])
+        return _digit_reversed(H, bases, box)
+    digit_axes = H.reshape(_digit_shape(bases, box))
     np.fft.ifftn(digit_axes, norm="forward", out=digit_axes)
     return H
 
@@ -505,8 +504,7 @@ def halton_diaphony_prefixes(
     sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
     if not sizes or min(sizes) < 1:
         raise ValueError("prefix sizes must be a nonempty list of positive integers")
-    limit = max(sizes)
-    _check_segment(limit, start)
+    limit, start = _check_segment(max(sizes), start)
     moduli = _cell_moduli(bases.primes, limit)
     scale = 1
     for p in bases.primes:
@@ -536,21 +534,23 @@ def halton_diaphony_prefixes(
 @lru_cache(maxsize=64)
 def _valuation_blocks(p: int, g: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """The weight blocks of frequencies 0..length-1 of an axis of size
-    P = p**g: the frequencies sorted by block, and each block's start.
+    P = p**g: the frequencies listed block by block, each block ascending,
+    and each block's start.
 
     Frequency j holds k = rev(j), whose top digit sits at place g - 1 -
-    v_p(j), so k lies in block t = g - 1 - v_p(j); j = 0 (k = 0) and every
-    multiple of p**(g-1) fall in block 0.  Block t is also
-    g - 1 - #{1 <= v < g : p**v divides j}, which needs no case for j = 0.
+    v_p(j), so k lies in block t = g - 1 - v_p(j).  Block 0 holds j = 0
+    (k = 0) and every multiple of p**(g-1); block t >= 1 holds the multiples
+    of p**v, v = g - 1 - t, that p**(v+1) does not divide, the
+    q p**(v+1) + r p**v with 0 < r < p.
     """
     import numpy as np
 
-    j = np.arange(length)
-    block = np.full(length, g - 1)
-    for v in range(1, g):
-        block -= j % p**v == 0
-    order = np.argsort(block, kind="stable")
-    starts = np.searchsorted(block[order], np.arange(g))
+    blocks = [np.arange(0, length, p ** (g - 1))]
+    for v in range(g - 2, -1, -1):
+        block = np.add.outer(np.arange(0, length, p ** (v + 1)), p**v * np.arange(1, p)).ravel()
+        blocks.append(block[: (length - 1) // p**v - (length - 1) // p ** (v + 1)])
+    order = np.concatenate(blocks)
+    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
     order.setflags(write=False)
     starts.setflags(write=False)
     return order, starts
@@ -689,6 +689,7 @@ def halton_diaphony_bound(bases: PrimeBases, n_points: int) -> BoundReport:
     d = 2 s max_i p_i, for N <= 2**63.  Natural logarithms throughout.
     """
     bases.require_distinct()
+    n_points = _as_int(n_points, "n_points")
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     if n_points > MAX_INDEX + 1:
@@ -734,8 +735,7 @@ def _first_near_max(ratio: np.ndarray) -> tuple[int, ...]:
     import numpy as np
 
     top = ratio.max()
-    first = np.argmax(ratio >= top - _TIE_TOLERANCE * top)
-    return tuple(int(i) for i in np.unravel_index(first, ratio.shape))
+    return np.unravel_index(np.argmax(ratio >= top - _TIE_TOLERANCE * top), ratio.shape)
 
 
 def verify_weyl_bound(
@@ -750,24 +750,32 @@ def verify_weyl_bound(
     violations.  The reported worst index is the first in C order whose
     ratio is within a relative 1e-9 of the largest, so an exact tie does not
     hang on the last bits of the FFT.
+
+    The ratios are computed in frequency order: S(k) is entry j = rev(k) of
+    the histogram's transform (see ``weyl_sum_table``), and phi_p(k) =
+    j / p**g there, so over the common denominator B = prod p**g the summed
+    phases are the exact int64 numerators sum_i j_i * B / p_i**g_i mod B.
+    Only the worst index is read in k order.
     """
     import numpy as np
 
     bases.require_distinct()
     _check_box(box, bases)
+    n_points = _as_int(n_points, "n_points")
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    S = weyl_sum_table(halton_set(n_points, bases), bases, box)
-    # phi_p(k) = rev(k) / p**g, so over the common denominator B = prod p**g
-    # the summed phases are exact int64 numerators
-    B = S.size
-    phi = np.ix_(*(_full_reversal(p, g) * (B // p**g) for p, g in zip(bases.primes, box.exponents)))
-    num = sum(phi) % B
-    ratio = np.abs(S) * (np.minimum(num, B - num) / B)
+    S = _histogram(halton_set(n_points, bases), bases, box, complex)
+    np.fft.ifftn(S, norm="forward", out=S)
+    ratio = np.abs(S)
+    del S
+    B = ratio.size
+    num = sum(np.ix_(*(np.arange(P) * (B // P) for P in ratio.shape))) % B
+    np.minimum(num, B - num, out=num)
+    ratio *= num / B
     ratio.flat[0] = -1.0  # the origin has no ceiling
     return WeylCheckReport(
         box,
         float(ratio.max()),
-        IndexVector(_first_near_max(ratio)),
+        IndexVector(_first_near_max(_digit_reversed(ratio, bases, box))),
         int((ratio > 1.0 + RATIO_TOLERANCE).sum()),
     )

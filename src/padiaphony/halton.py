@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import CountOverflow, SegmentTooLarge
-from .padic import Point, PointSet, PrimeBases, monna
+from .padic import Point, PointSet, PrimeBases, _as_int, monna
 
 __all__ = ["MAX_INDEX", "validate_bases", "halton_point", "halton_stream", "halton_set"]
 
@@ -32,7 +32,9 @@ def halton_point(n: int, bases: PrimeBases) -> Point:
     return Point(tuple(monna(n, p) for p in bases.primes))
 
 
-def _check_segment(count: int, start: int) -> None:
+def _check_segment(count: int, start: int) -> tuple[int, int]:
+    """(count, start) as Python ints, once both are in range."""
+    count, start = _as_int(count, "count"), _as_int(start, "start")
     if count < 1:
         raise ValueError("count must be at least 1")
     if start < 0:
@@ -41,11 +43,12 @@ def _check_segment(count: int, start: int) -> None:
         raise CountOverflow(
             f"indices up to {start + count - 1} exceed the supported range"
         )
+    return count, start
 
 
 def halton_stream(count: int, bases: PrimeBases, start: int = 0) -> Iterator[Point]:
     """Points start, ..., start + count - 1, generated in order."""
-    _check_segment(count, start)
+    count, start = _check_segment(count, start)
 
     def generate() -> Iterator[Point]:
         for n in range(start, start + count):
@@ -64,7 +67,7 @@ def halton_set(count: int, bases: PrimeBases, start: int = 0) -> PointSet:
     """
     import numpy as np
 
-    _check_segment(count, start)
+    count, start = _check_segment(count, start)
     last = start + count - 1
     depths = [max(1, len(monna(last, p).digits)) for p in bases.primes]
     if count * sum(depths) > DIGIT_CELL_CAP:

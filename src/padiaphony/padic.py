@@ -267,12 +267,11 @@ class IndexVector:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        indices = tuple(self.indices)
+        indices = tuple(_as_int(k, "index") for k in self.indices)
         if not indices:
             raise DimensionMismatch("an index vector needs at least one entry")
-        for k in indices:
-            if not isinstance(k, int) or k < 0:
-                raise ValueError(f"index {k!r} must be a nonnegative integer")
+        if min(indices) < 0:
+            raise ValueError(f"index {min(indices)} must be a nonnegative integer")
         object.__setattr__(self, "indices", indices)
 
     @property

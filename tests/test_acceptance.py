@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from padiaphony import (
+    RATIO_TOLERANCE,
     DigitVector,
     IndexVector,
     Point,
@@ -154,12 +155,18 @@ def test_criterion_10_bound_sharpness_at_the_index_space():
 
 def test_criterion_5_weyl_ceiling_exhaustive():
     with criterion(5, "Weyl sums stay below their ceiling on full boxes"):
+        # |S_N(k)| = |sin(pi N theta) / sin(pi theta)| <= 1 / (2 ||theta||),
+        # so the ratio to the ceiling 1 / ||theta|| never passes 1/2
         b2 = validate_bases([2])
         for n in range(1, 257):
-            assert verify_weyl_bound(n, b2, TruncationBox((8,))).violations == 0
+            rep = verify_weyl_bound(n, b2, TruncationBox((8,)))
+            assert rep.violations == 0
+            assert rep.worst_ratio <= 0.5 + RATIO_TOLERANCE
         b23 = validate_bases([2, 3])
         for n in range(1, 129):
-            assert verify_weyl_bound(n, b23, TruncationBox((4, 3))).violations == 0
+            rep = verify_weyl_bound(n, b23, TruncationBox((4, 3)))
+            assert rep.violations == 0
+            assert rep.worst_ratio <= 0.5 + RATIO_TOLERANCE
 
 
 def test_criterion_6_character_block_sums():

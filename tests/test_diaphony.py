@@ -55,7 +55,13 @@ from padiaphony import (
     worst_case_error,
 )
 import padiaphony.diaphony
-from padiaphony.diaphony import ENUMERATION_CAP, _check_box, _first_near_max, _kernel_report
+from padiaphony.diaphony import (
+    ENUMERATION_CAP,
+    _check_box,
+    _first_near_max,
+    _kernel_report,
+    _valuation_blocks,
+)
 from padiaphony.padic import _point_list
 
 B2 = validate_bases([2])
@@ -131,6 +137,53 @@ def test_weyl_sum_table_three_dimensions():
         idx = (rng.randrange(4), rng.randrange(3), rng.randrange(5))
         expected = weyl_sum(pts, IndexVector(idx), b235)
         assert abs(table[idx] - expected) < 1e-12
+
+
+def _reversal(p, g):
+    """The g-digit base-p reversal of every k < p**g, digit by digit."""
+    rev = []
+    for k in range(p**g):
+        r = 0
+        for _ in range(g):
+            k, d = divmod(k, p)
+            r = r * p + d
+        rev.append(r)
+    return rev
+
+
+@pytest.mark.parametrize("primes, exps", [((2, 3), (4, 3)), ((2, 3, 5), (3, 2, 1)), ((7,), (3,))])
+def test_padic_table_is_the_transform_gathered_at_reversed_frequencies(primes, exps):
+    # Halton point n sits in grid cell n mod p**g on every axis
+    bases, box = validate_bases(primes), TruncationBox(exps)
+    hist = np.zeros([p**g for p, g in zip(primes, exps)], dtype=complex)
+    for n in range(11, 61):
+        hist[tuple(n % p**g for p, g in zip(primes, exps))] += 1
+    rev = np.ix_(*(_reversal(p, g) for p, g in zip(primes, exps)))
+    expected = np.fft.ifftn(hist, norm="forward")[rev]
+    assert weyl_sum_table(halton_set(50, bases, 11), bases, box).tobytes() == expected.tobytes()
+
+
+def _blocks_by_sort(p, g, length):
+    """Frequencies 0..length-1 stably sorted by their weight block
+    g - 1 - #{1 <= v < g : p**v divides j}, and each block's start."""
+    j = np.arange(length)
+    block = np.full(length, g - 1)
+    for v in range(1, g):
+        block -= j % p**v == 0
+    order = np.argsort(block, kind="stable")
+    return order, np.searchsorted(block[order], np.arange(g))
+
+
+@pytest.mark.parametrize(
+    "p, g", [(2, 1), (3, 1), (65537, 1), (2, 5), (3, 4), (5, 3), (7, 2), (2, 21)]
+)
+def test_valuation_blocks_list_the_frequencies_sorted_by_block(p, g):
+    # the block order fixes the summation order of the boxed sums' bits
+    for length in (p**g // 2 + 1, p**g):
+        order, starts = _valuation_blocks(p, g, length)
+        sorted_order, sorted_starts = _blocks_by_sort(p, g, length)
+        assert np.array_equal(order, sorted_order)
+        assert np.array_equal(starts, sorted_starts)
 
 
 @st.composite
@@ -538,8 +591,9 @@ def test_halton_closed_form_validates_its_input():
     for sizes in ([], [0], [4, 0], [-1], [2.5], [4, float("inf")], [np.float64(3.0)]):
         with pytest.raises(ValueError):
             halton_diaphony_prefixes(B23, sizes)
-    with pytest.raises(ValueError):
-        halton_diaphony_prefixes(B23, [4], start=-1)
+    for start in (-1, 0.5):
+        with pytest.raises(ValueError):
+            halton_diaphony_prefixes(B23, [4], start=start)
     assert halton_diaphony_prefixes(B23, [2], MAX_INDEX - 1)[0].n_points == 2
     for sizes, start in (([2], MAX_INDEX), ([1, 3], MAX_INDEX - 1), ([2**63 + 1], 0)):
         with pytest.raises(CountOverflow):
@@ -693,6 +747,20 @@ def test_spectral_sum_traced_peak_is_at_most_20_bytes_per_box_entry():
     assert peak <= 20 * 2**10 * 3**6
 
 
+def test_weyl_ceiling_check_traced_peak_is_at_most_36_bytes_per_box_entry():
+    # the check reads |S| and the phases in frequency order; a k-indexed
+    # table, its reversal gather and a second numerator grid would take 48
+    box = TruncationBox((10, 6))
+    verify_weyl_bound(8192, B23, box)  # fills the caches
+    tracemalloc.start()
+    try:
+        verify_weyl_bound(8192, B23, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**10 * 3**6
+
+
 def test_truncated_spectral_sum_systems_agree_at_equal_bases():
     rng = random.Random(24)
     b22 = PrimeBases((2, 2))
@@ -830,6 +898,10 @@ def test_halton_bound_requires_distinct_bases():
         halton_diaphony_bound(PrimeBases((2, 2)), 4)
     with pytest.raises(ValueError):
         halton_diaphony_bound(B2, 0)
+    for n in (2.5, float("inf"), "4"):
+        with pytest.raises(ValueError, match="not an integer"):
+            halton_diaphony_bound(B2, n)
+    assert halton_diaphony_bound(B2, np.int64(4)) == halton_diaphony_bound(B2, 4)
 
 
 def test_halton_bound_is_limited_to_the_index_space():
@@ -887,6 +959,8 @@ def test_verify_weyl_bound_examples():
 def test_verify_weyl_bound_requires_distinct_bases():
     with pytest.raises(DuplicateBase):
         verify_weyl_bound(4, PrimeBases((3, 3)), TruncationBox((2, 2)))
+    with pytest.raises(ValueError, match="n_points 2.5 is not an integer"):
+        verify_weyl_bound(2.5, B23, TruncationBox((2, 2)))
 
 
 def _ceiling_check_oracle(n_points, bases, box):

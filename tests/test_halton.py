@@ -91,6 +91,10 @@ def test_index_overflow_is_detected():
         halton_point(MAX_INDEX + 1, bases)
     with pytest.raises(CountOverflow):
         halton_stream(2, bases, start=MAX_INDEX)
+    # a numpy start is taken as a Python int, so the range check cannot wrap
+    for make in (halton_stream, halton_set):
+        with pytest.raises(CountOverflow):
+            make(np.int64(2), bases, start=np.int64(MAX_INDEX))
     # the boundary itself is fine
     pt = halton_point(MAX_INDEX, bases)
     assert monna_inverse(pt.coords[0]) == MAX_INDEX
@@ -104,6 +108,10 @@ def test_stream_argument_validation():
         halton_stream(1, bases, start=-1)
     with pytest.raises(ValueError):
         halton_point(-1, bases)
+    for count, start in ((2.5, 0), (1, 0.5), ("2", 0), (np.float64(2.0), 0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            halton_stream(count, bases, start)
+    assert list(halton_stream(np.int64(2), bases, np.int64(3))) == list(halton_stream(2, bases, 3))
 
 
 def test_set_argument_validation():
@@ -114,6 +122,10 @@ def test_set_argument_validation():
         halton_set(1, bases, start=-1)
     with pytest.raises(CountOverflow):
         halton_set(2, bases, start=MAX_INDEX)
+    with pytest.raises(ValueError, match="count 2.5 is not an integer"):
+        halton_set(2.5, bases)
+    with pytest.raises(ValueError, match="start 0.5 is not an integer"):
+        halton_set(1, bases, start=0.5)
     with pytest.raises(SegmentTooLarge, match="cap"):
         halton_set(2**62, bases)
     ps = halton_set(1, bases, start=MAX_INDEX)

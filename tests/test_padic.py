@@ -336,6 +336,16 @@ def test_char_product_dimension_mismatch():
         char_product(IndexVector((1, 1)), Point((monna(1, 2), monna(1, 2))), bases)
 
 
+def test_index_vector_takes_integers_only():
+    k = IndexVector((np.int64(1), 2))
+    assert k == IndexVector((1, 2)) and all(type(i) is int for i in k.indices)
+    for bad in (-1, 1.0, "1", np.float64(1.0)):
+        with pytest.raises(ValueError):
+            IndexVector((0, bad))
+    with pytest.raises(DimensionMismatch):
+        IndexVector(())
+
+
 def test_point_from_values():
     bases = PrimeBases((2, 3))
     pt = point_from_values([0.5, Fraction(1, 3)], bases)
