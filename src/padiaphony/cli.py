@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .diaphony import (
     _check_box,
@@ -26,26 +25,21 @@ from .halton import halton_set, halton_stream, validate_bases
 from .padic import PrimeBases
 from .weights import TruncationBox
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters shared by all subcommands."""
-
-    bases: PrimeBases
-    count: int
-    method: str
-    box: TruncationBox | None
-    start: int
-    format: str
-    output: str | None
+# A sweep row costs about 1 KB while rows are built and formatted, so the
+# cap keeps a sweep near 1 GB, the order of halton_set's digit-cell cap.
+_MAX_SWEEP_ROWS = 2**20
 
 
-class _UsageError(Exception):
+class _UsageError(DiaphonyError):
     """Bad flags; rendered to stderr with exit status 2."""
+
+
+class _TooManyRows(DiaphonyError):
+    """A sweep past _MAX_SWEEP_ROWS; exit status 3, like the library's caps."""
 
 
 def _fmt(value) -> str:
@@ -73,19 +67,19 @@ def _parse_bases(args) -> PrimeBases:
     raise _UsageError("one of --bases or --dim is required")
 
 
-def _parse_box(args, bases: PrimeBases, required: bool) -> TruncationBox | None:
+def _parse_box(args) -> TruncationBox | None:
     raw = getattr(args, "g", None)
     if raw is None:
-        if required:
+        if getattr(args, "method", None) == "spectral":
             raise _UsageError("--g is required for this invocation")
         return None
     try:
         exps = [int(tok) for tok in raw.split(",") if tok]
     except ValueError:
         raise _UsageError(f"--g: cannot parse {raw!r}") from None
-    if len(exps) != bases.dimension:
+    if len(exps) != args.bases.dimension:
         raise _UsageError(
-            f"--g: got {len(exps)} entries for dimension {bases.dimension}"
+            f"--g: got {len(exps)} entries for dimension {args.bases.dimension}"
         )
     try:
         return TruncationBox(tuple(exps))
@@ -93,52 +87,26 @@ def _parse_box(args, bases: PrimeBases, required: bool) -> TruncationBox | None:
         raise _UsageError(f"--g: {exc}") from None
 
 
-def _build_config(args, *, need_box: bool = False) -> RunConfig:
-    bases = _parse_bases(args)
-    count = getattr(args, "count", 1)
-    if count is not None and count < 1:
-        raise _UsageError("--count must be at least 1")
-    start = getattr(args, "start", 0) or 0
-    if start < 0:
-        raise _UsageError("--start must be nonnegative")
-    method = getattr(args, "method", "kernel")
-    box = _parse_box(args, bases, required=need_box or method == "spectral")
-    return RunConfig(
-        bases=bases,
-        count=count if count is not None else 1,
-        method=method,
-        box=box,
-        start=start,
-        format=args.format,
-        output=args.out,
-    )
-
-
-def _config_echo(config: RunConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "bases": list(config.bases.primes),
-        "count": config.count,
-        "method": config.method,
-        "box": list(config.box.exponents) if config.box else None,
-        "start": config.start,
-        "format": config.format,
-        "output": config.output,
-    }
-
-
-def _emit(config: RunConfig, command: str, header: list[str], rows: list[dict]) -> None:
-    if config.format == "csv":
+def _emit(args, header: list[str], rows: list[dict], **flags) -> None:
+    """Write the rows as CSV, or as JSON after a ``config`` echo of the
+    command, its bases, its own ``flags``, the format and the output."""
+    if args.format == "csv":
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_fmt(row[h]) for h in header))
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"config": _config_echo(config, command), "rows": rows}
-        text = json.dumps(payload, indent=2) + "\n"
-    if config.output:
+        config = {
+            "command": args.command,
+            "bases": list(args.bases.primes),
+            **flags,
+            "format": args.format,
+            "output": args.out,
+        }
+        text = json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
+    if args.out:
         try:
-            with open(config.output, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise _UsageError(f"--out: {exc}") from None
@@ -150,61 +118,60 @@ def _frac_str(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def cmd_halton(config: RunConfig) -> int:
+def cmd_halton(args) -> int:
     header = ["n"]
-    for i in range(1, config.bases.dimension + 1):
+    for i in range(1, args.bases.dimension + 1):
         header += [f"x{i}", f"x{i}_dec"]
     rows = []
-    for offset, pt in enumerate(
-        halton_stream(config.count, config.bases, config.start)
-    ):
-        row = {"n": config.start + offset}
+    for offset, pt in enumerate(halton_stream(args.count, args.bases, args.start)):
+        row = {"n": args.start + offset}
         for i, coord in enumerate(pt.coords, start=1):
             v = coord.value()
             row[f"x{i}"] = _frac_str(v)
             row[f"x{i}_dec"] = float(v)
         rows.append(row)
-    _emit(config, "halton", header, rows)
+    _emit(args, header, rows, count=args.count, start=args.start)
     return 0
 
 
-def cmd_diaphony(config: RunConfig) -> int:
-    if config.method == "spectral":
-        _check_box(config.box, config.bases)  # before any point is built
-        points = halton_set(config.count, config.bases, config.start)
-        report = diaphony_spectral(points, config.bases, config.box)
-    elif config.box is not None:
+def cmd_diaphony(args) -> int:
+    if args.method == "spectral":
+        _check_box(args.box, args.bases)  # before any point is built
+        points = halton_set(args.count, args.bases, args.start)
+        report = diaphony_spectral(points, args.bases, args.box)
+    elif args.box is not None:
         raise _UsageError("--g applies to --method spectral")
     else:
-        report = halton_diaphony_prefixes(config.bases, [config.count], config.start)[0]
+        report = halton_diaphony_prefixes(args.bases, [args.count], args.start)[0]
     row = {
         "N": report.n_points,
         "F": report.f,
         "F2": report.f_squared,
-        "e": worst_case_error(report, config.bases),
+        "e": worst_case_error(report, args.bases),
     }
     header = ["N", "F", "F2", "e"]
     if report.enclosure is not None:
         row["lower"], row["upper"] = report.enclosure
         header += ["lower", "upper"]
-    _emit(config, "diaphony", header, [row])
+    _emit(args, header, [row], count=args.count, method=args.method,
+          box=args.box and list(args.box.exponents), start=args.start)
     return 0
 
 
-def cmd_bound(config: RunConfig) -> int:
-    report = halton_diaphony_bound(config.bases, config.count)
+def cmd_bound(args) -> int:
+    report = halton_diaphony_bound(args.bases, args.count)
     row = {
-        "N": config.count,
+        "N": args.count,
         "c": report.c,
         "d": report.d,
         "bound_F2": report.bound_f_squared,
         "bound_F": report.bound_f_squared**0.5,
     }
-    _emit(config, "bound", ["N", "c", "d", "bound_F2", "bound_F"], [row])
+    _emit(args, ["N", "c", "d", "bound_F2", "bound_F"], [row], count=args.count)
     return 0
 
 
-def _sweep_sizes(args) -> list[int]:
+def cmd_sweep(args) -> int:
     lo, hi, step = args.start_n, args.end_n, args.step
     if lo < 1:
         raise _UsageError("--from must be at least 1")
@@ -216,21 +183,25 @@ def _sweep_sizes(args) -> list[int]:
         while n <= hi:
             sizes.append(n)
             n *= 2
-        return sizes
-    try:
-        stride = int(step)
-    except ValueError:
-        raise _UsageError(f"--step must be 'pow2' or a positive integer, got {step!r}") from None
-    if stride < 1:
-        raise _UsageError("--step must be a positive integer")
-    return list(range(lo, hi + 1, stride))
-
-
-def cmd_sweep(config: RunConfig, sizes: list[int]) -> int:
-    reports = halton_diaphony_prefixes(config.bases, sizes, config.start)
+    else:
+        try:
+            stride = int(step)
+        except ValueError:
+            raise _UsageError(
+                f"--step must be 'pow2' or a positive integer, got {step!r}"
+            ) from None
+        if stride < 1:
+            raise _UsageError("--step must be a positive integer")
+        n_rows = (hi - lo) // stride + 1  # len(range(...)) overflows past sys.maxsize
+        if n_rows > _MAX_SWEEP_ROWS:
+            raise _TooManyRows(
+                f"--from/--to/--step give {n_rows} rows, more than the cap {_MAX_SWEEP_ROWS}"
+            )
+        sizes = range(lo, hi + 1, stride)
+    reports = halton_diaphony_prefixes(args.bases, sizes, args.start)
     rows = []
     for n, report in zip(sizes, reports):
-        bound = halton_diaphony_bound(config.bases, n)
+        bound = halton_diaphony_bound(args.bases, n)
         rows.append(
             {
                 "N": n,
@@ -240,35 +211,22 @@ def cmd_sweep(config: RunConfig, sizes: list[int]) -> int:
                 "ratio": report.f_squared / bound.bound_f_squared,
             }
         )
-    _emit(config, "sweep", ["N", "F", "F2", "bound_F2", "ratio"], rows)
+    _emit(args, ["N", "F", "F2", "bound_F2", "ratio"], rows,
+          **{"from": lo, "to": hi, "step": step, "start": args.start})
     return 0
 
 
-def cmd_verify_lemma(config: RunConfig) -> int:
-    report = verify_weyl_bound(config.count, config.bases, config.box)
+def cmd_verify_lemma(args) -> int:
+    report = verify_weyl_bound(args.count, args.bases, args.box)
     row = {
-        "N": config.count,
+        "N": args.count,
         "worst_ratio": report.worst_ratio,
         "worst_index": ";".join(str(k) for k in report.worst_index.indices),
         "violations": report.violations,
     }
-    _emit(
-        config,
-        "verify-lemma",
-        ["N", "worst_ratio", "worst_index", "violations"],
-        [row],
-    )
+    _emit(args, ["N", "worst_ratio", "worst_index", "violations"], [row],
+          count=args.count, box=list(args.box.exponents))
     return 0 if report.violations == 0 else 1
-
-
-def _add_common(parser: argparse.ArgumentParser, *, count_default=None) -> None:
-    parser.add_argument("--bases", help="comma-separated prime bases, e.g. 2,3,5")
-    parser.add_argument("--dim", type=int, help="use the first DIM primes as bases")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    if count_default is not None:
-        parser.add_argument("--count", type=int, default=count_default,
-                            help="number of points N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,63 +237,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("halton", help="emit Halton points exactly")
-    _add_common(p, count_default=1)
-    p.add_argument("--start", type=int, default=0, help="first index n")
+    def command(name, run, help, count=True, start=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--bases", help="comma-separated prime bases, e.g. 2,3,5")
+        p.add_argument("--dim", type=int, help="use the first DIM primes as bases")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if count:
+            p.add_argument("--count", type=int, default=1, help="number of points N")
+        if start:
+            p.add_argument("--start", type=int, default=0, help="first index n")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("diaphony", help="diaphony of a Halton prefix")
-    _add_common(p, count_default=1)
-    p.add_argument("--start", type=int, default=0, help="first index n")
+    command("halton", cmd_halton, "emit Halton points exactly")
+    p = command("diaphony", cmd_diaphony, "diaphony of a Halton prefix")
     p.add_argument("--method", choices=("kernel", "spectral"), default="kernel")
     p.add_argument("--g", help="comma-separated box exponents (spectral method)")
-
-    p = sub.add_parser("bound", help="asymptotic diaphony bound for Halton")
-    _add_common(p, count_default=1)
-
-    p = sub.add_parser("sweep", help="diaphony vs bound over a range of N")
-    _add_common(p)
-    p.add_argument("--start", type=int, default=0, help="first index n")
+    command("bound", cmd_bound, "asymptotic diaphony bound for Halton", start=False)
+    p = command("sweep", cmd_sweep, "diaphony vs bound over a range of N", count=False)
     p.add_argument("--from", dest="start_n", type=int, required=True)
     p.add_argument("--to", dest="end_n", type=int, required=True)
     p.add_argument("--step", default="1", help="'pow2' or a positive stride")
-
-    p = sub.add_parser("verify-lemma", help="check the Weyl-sum ceiling on a box")
-    _add_common(p, count_default=1)
+    p = command("verify-lemma", cmd_verify_lemma, "check the Weyl-sum ceiling on a box",
+                start=False)
     p.add_argument("--g", required=True, help="comma-separated box exponents")
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "sweep":
-            sizes = _sweep_sizes(args)
-            config = _build_config(args)
-            return cmd_sweep(config, sizes)
-        config = _build_config(args, need_box=(args.command == "verify-lemma"))
-        if args.command == "halton":
-            return cmd_halton(config)
-        if args.command == "diaphony":
-            return cmd_diaphony(config)
-        if args.command == "bound":
-            return cmd_bound(config)
-        if args.command == "verify-lemma":
-            return cmd_verify_lemma(config)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BoxTooLarge, SegmentTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        args.bases = _parse_bases(args)
+        if getattr(args, "count", 1) < 1:
+            raise _UsageError("--count must be at least 1")
+        if getattr(args, "start", 0) < 0:
+            raise _UsageError("--start must be nonnegative")
+        args.box = _parse_box(args)
+        return args.run(args)
     except DiaphonyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (BoxTooLarge, SegmentTooLarge, _TooManyRows)) else 2
 
 
 def entry() -> None:

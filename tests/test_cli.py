@@ -228,6 +228,33 @@ def test_json_output_mirrors_fields(capsys):
     assert row["N"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("halton", "--bases", "2,3", "--count", "3", "--start", "5"),
+         {"count": 3, "start": 5}),
+        (("diaphony", "--bases", "2,3", "--count", "4"),
+         {"count": 4, "method": "kernel", "box": None, "start": 0}),
+        (("diaphony", "--bases", "2,3", "--count", "4", "--method", "spectral", "--g", "2,1",
+          "--start", "9"), {"count": 4, "method": "spectral", "box": [2, 1], "start": 9}),
+        (("bound", "--bases", "2,3", "--count", "1024"), {"count": 1024}),
+        (("sweep", "--bases", "2,3", "--from", "3", "--to", "40", "--step", "7", "--start", "11"),
+         {"from": 3, "to": 40, "step": "7", "start": 11}),
+        (("sweep", "--bases", "2,3", "--from", "2", "--to", "16", "--step", "pow2"),
+         {"from": 2, "to": 16, "step": "pow2", "start": 0}),
+        (("verify-lemma", "--bases", "2,3", "--count", "128", "--g", "4,3"),
+         {"count": 128, "box": [4, 3]}),
+    ],
+)
+def test_json_config_echoes_only_the_command_s_own_flags(capsys, argv, flags):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert list(config) == ["command", "bases", *flags, "format", "output"]
+    assert config == {"command": argv[0], "bases": [2, 3], **flags,
+                      "format": "json", "output": None}
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "halton", "--bases", "2", "--count", "3",
@@ -340,6 +367,11 @@ MAX = str(2**63 - 1)
         (("verify-lemma", "--bases", "2", "--count", "4", "--g", "1,1"), 2, 0),
         (("frobnicate",), 2, 0),
         ((), 2, 0),
+        (("halton", "--count", "1"), 2, 0),
+        # more rows than the sweep cap, refused before any size list is built
+        (("sweep", "--bases", "2", "--from", "1", "--to", str(10**12), "--step", "1"), 3, 0),
+        (("sweep", "--bases", "2", "--from", "1", "--to", str(2**20 + 1)), 3, 0),
+        (("sweep", "--bases", "2", "--from", "1", "--to", str(10**30), "--step", "3"), 3, 0),
     ],
 )
 def test_no_invocation_exits_1_without_a_violation(capsys, argv, status, rows):
@@ -353,16 +385,28 @@ def test_no_invocation_exits_1_without_a_violation(capsys, argv, status, rows):
         assert len(out.splitlines()) == rows + 1
 
 
-def _run_python(code: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_exits_with_the_status_of_main():
+    # python -m padiaphony runs cli.entry, as the console script does
+    proc = _run_python("-m", "padiaphony", "bound", "--dim", "2", "--count", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("N,c,d,bound_F2,bound_F\n4,")
+    proc = _run_python("-m", "padiaphony", "bound", "--dim", "2", "--count", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --count must be at least 1\n"
 
 
 def test_kernel_cli_path_does_not_import_numpy():
     # a fresh interpreter, because this one already holds numpy
     proc = _run_python(
+        "-c",
         "import sys\n"
         "from padiaphony.cli import main\n"
         "for argv in (['bound', '--dim', '4', '--count', '2048'],\n"
@@ -374,6 +418,7 @@ def test_kernel_cli_path_does_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     proc = _run_python(
+        "-c",
         "from padiaphony.cli import main\n"
         "raise SystemExit(main(['diaphony', '--bases', '2,3', '--count', '64',\n"
         "                       '--method', 'spectral', '--g', '4,3']))\n"

@@ -99,6 +99,8 @@ def test_weyl_sum_dimension_mismatch():
     pts = list(halton_stream(2, B2))
     with pytest.raises(DimensionMismatch):
         weyl_sum(pts, IndexVector((1, 1)), B2)
+    with pytest.raises(ValueError, match="at least one point"):
+        weyl_sum([], IndexVector((1,)), B2)
 
 
 def test_weyl_sum_table_matches_scalar_sums():
@@ -141,13 +143,10 @@ def test_weyl_sum_table_three_dimensions():
 
 def _reversal(p, g):
     """The g-digit base-p reversal of every k < p**g, digit by digit."""
-    rev = []
-    for k in range(p**g):
-        r = 0
-        for _ in range(g):
-            k, d = divmod(k, p)
-            r = r * p + d
-        rev.append(r)
+    k, rev = np.arange(p**g), np.zeros(p**g, dtype=np.int64)
+    for _ in range(g):
+        k, d = np.divmod(k, p)
+        rev = rev * p + d
     return rev
 
 
@@ -161,6 +160,65 @@ def test_padic_table_is_the_transform_gathered_at_reversed_frequencies(primes, e
     rev = np.ix_(*(_reversal(p, g) for p, g in zip(primes, exps)))
     expected = np.fft.ifftn(hist, norm="forward")[rev]
     assert weyl_sum_table(halton_set(50, bases, 11), bases, box).tobytes() == expected.tobytes()
+
+
+def _geometric_sums(n_points, bases, box):
+    """(|S_N(k)|, ||theta(k)||) over the box for any Halton segment of
+    n_points.  Point n has phase n * theta(k), theta = sum_i phi(k_i) = a / B
+    over B = prod p_i**g_i, with phi(k) = rev(k) / p**g, so S_N(k) is a
+    geometric sum: |S| = |sin(pi N theta) / sin(pi theta)|, whatever the
+    start.  Both phases are folded to ||.|| in integers before sin; sin of
+    pi (1 - 1/B) in floats would be off by far more than the FFT."""
+    sizes = [p**g for p, g in zip(bases.primes, box.exponents)]
+    B = math.prod(sizes)
+    axes = (_reversal(p, g) * (B // P) for p, g, P in zip(bases.primes, box.exponents, sizes))
+    a = sum(np.ix_(*axes)) % B
+
+    def fold(num):
+        return np.minimum(num, B - num) / B
+
+    dist = fold(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        abs_s = np.sin(np.pi * fold(n_points * a % B)) / np.sin(np.pi * dist)
+    abs_s.flat[0] = n_points  # the origin, theta = 0
+    return abs_s, dist
+
+
+@pytest.mark.parametrize(
+    "primes, exps, n_points, start",
+    [
+        ((2, 3), (10, 6), 8192, 1234567),  # theta = 1 - 1/B occurs here
+        ((2,), (21,), 10**5, 2**40),
+        ((2, 3), (8, 5), 100003, 2**62 - 200000),
+        ((2, 3, 5), (6, 4, 3), 2048, 1500001),
+        ((2, 65537), (3, 1), 300, 5),
+        ((7, 11), (3, 2), 777, 0),
+    ],
+)
+def test_halton_weyl_table_is_a_geometric_sum(primes, exps, n_points, start):
+    bases, box = validate_bases(primes), TruncationBox(exps)
+    table = weyl_sum_table(halton_set(n_points, bases, start), bases, box)
+    abs_s, _ = _geometric_sums(n_points, bases, box)
+    assert np.abs(np.abs(table) - abs_s).max() <= 1e-14 * n_points
+
+
+@pytest.mark.parametrize(
+    "primes, exps, n_points",
+    [
+        ((2, 3), (10, 6), 8192),
+        ((2,), (21,), 10**5),
+        ((2, 3), (8, 5), 100003),
+        ((2, 3, 5), (6, 4, 3), 2048),
+        ((7, 11), (3, 2), 777),
+    ],
+)
+def test_weyl_ceiling_ratio_equals_the_geometric_sum_oracle(primes, exps, n_points):
+    bases, box = validate_bases(primes), TruncationBox(exps)
+    abs_s, dist = _geometric_sums(n_points, bases, box)
+    ratio = abs_s * dist
+    ratio.flat[0] = -1.0
+    expected = ratio.max()
+    assert abs(verify_weyl_bound(n_points, bases, box).worst_ratio - expected) <= 1e-12 * expected
 
 
 def _blocks_by_sort(p, g, length):
@@ -606,6 +664,8 @@ def test_kernel_mode_validation():
         diaphony_kernel(pts, B2, "approximate")
     with pytest.raises(ValueError):
         diaphony_kernel([], B2)
+    with pytest.raises(ValueError, match="at least one point"):
+        diaphony_kernel([], B2, mode="exact")
 
 
 def test_no_meaningful_negative_excursion_on_uniform_grid(caplog):
@@ -961,6 +1021,8 @@ def test_verify_weyl_bound_requires_distinct_bases():
         verify_weyl_bound(4, PrimeBases((3, 3)), TruncationBox((2, 2)))
     with pytest.raises(ValueError, match="n_points 2.5 is not an integer"):
         verify_weyl_bound(2.5, B23, TruncationBox((2, 2)))
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_weyl_bound(0, B23, TruncationBox((2, 2)))
 
 
 def _ceiling_check_oracle(n_points, bases, box):
