@@ -7,7 +7,6 @@ Exit status: 0 success, 1 property violation, 2 usage error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .diaphony import (
@@ -90,28 +89,35 @@ def _parse_box(args) -> TruncationBox | None:
 def _emit(args, header: list[str], rows: list[dict], **flags) -> None:
     """Write the rows as CSV, or as JSON after a ``config`` echo of the
     command, its bases, its own ``flags``, the format and the output."""
+    if not args.out:
+        _write_rows(sys.stdout, args, header, rows, flags)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            _write_rows(fh, args, header, rows, flags)
+    except OSError as exc:
+        raise _UsageError(f"--out: {exc}") from None
+
+
+def _write_rows(out, args, header: list[str], rows: list[dict], flags: dict) -> None:
+    """Stream the output to ``out`` a line or a JSON chunk at a time, so
+    the whole text is never held in memory."""
     if args.format == "csv":
-        lines = [",".join(header)]
+        out.write(",".join(header) + "\n")
         for row in rows:
-            lines.append(",".join(_fmt(row[h]) for h in header))
-        text = "\n".join(lines) + "\n"
-    else:
-        config = {
-            "command": args.command,
-            "bases": list(args.bases.primes),
-            **flags,
-            "format": args.format,
-            "output": args.out,
-        }
-        text = json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError(f"--out: {exc}") from None
-    else:
-        sys.stdout.write(text)
+            out.write(",".join([_fmt(row[h]) for h in header]) + "\n")
+        return
+    import json  # only here: a CSV run never loads it
+
+    config = {
+        "command": args.command,
+        "bases": list(args.bases.primes),
+        **flags,
+        "format": args.format,
+        "output": args.out,
+    }
+    json.dump({"config": config, "rows": rows}, out, indent=2)
+    out.write("\n")
 
 
 def _frac_str(value) -> str:

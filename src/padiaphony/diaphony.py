@@ -19,7 +19,6 @@ form, the bound and the scalar oracles run without loading it.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from collections.abc import Iterable
@@ -69,8 +68,6 @@ __all__ = [
     "weyl_sum_bound",
     "verify_weyl_bound",
 ]
-
-log = logging.getLogger(__name__)
 
 # Boxes enumerating more index vectors than this are rejected.  The cap is
 # below 2**31, so the Weyl-ceiling numerators over B = prod p**g and their
@@ -142,6 +139,9 @@ def _check_box(box: TruncationBox, bases: PrimeBases) -> None:
 def _clamp_unit(raw: float) -> float:
     clamped = min(1.0, max(0.0, raw))
     if clamped != raw:
+        import logging  # only here: clamps are rare, and logging is slow to load
+
+        log = logging.getLogger(__name__)
         excursion = raw - clamped
         if abs(excursion) > RATIO_TOLERANCE:
             log.warning("squared diaphony clamped to [0, 1] by %.3g", excursion)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import CountOverflow, SegmentTooLarge
-from .padic import Point, PointSet, PrimeBases, _as_int, monna
+from .padic import DigitVector, Point, PointSet, PrimeBases, _as_int, monna
 
 __all__ = ["MAX_INDEX", "validate_bases", "halton_point", "halton_stream", "halton_set"]
 
@@ -47,12 +47,29 @@ def _check_segment(count: int, start: int) -> tuple[int, int]:
 
 
 def halton_stream(count: int, bases: PrimeBases, start: int = 0) -> Iterator[Point]:
-    """Points start, ..., start + count - 1, generated in order."""
+    """Points start, ..., start + count - 1, generated in order.
+
+    The arguments are checked when the function is called; the points come
+    from a lazy generator.  It keeps the base-p digits of n, least
+    significant first, for each base and adds one with carry between
+    points (Halton and Smith's incremental radical inverse), so a step
+    touches p/(p-1) digits on average instead of all of them.
+    ``halton_point`` is the random-access path.
+    """
     count, start = _check_segment(count, start)
 
     def generate() -> Iterator[Point]:
-        for n in range(start, start + count):
-            yield halton_point(n, bases)
+        odometer = [(p, list(monna(start, p).digits)) for p in bases.primes]
+        for _ in range(count):
+            yield Point(tuple([DigitVector._trusted(p, digits[:]) for p, digits in odometer]))
+            for p, digits in odometer:
+                for j, d in enumerate(digits):
+                    if d + 1 < p:
+                        digits[j] = d + 1
+                        break
+                    digits[j] = 0
+                else:
+                    digits.append(1)
 
     return generate()
 

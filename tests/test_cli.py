@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
-from padiaphony import BoxTooLarge
-from padiaphony.cli import main
+import padiaphony.cli
+from padiaphony import BoxTooLarge, validate_bases
+from padiaphony.cli import _emit, main
 from padiaphony.diaphony import ENUMERATION_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -425,3 +428,81 @@ def test_kernel_cli_path_does_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("N,F,F2,e,lower,upper\n")
+
+
+def test_csv_runs_load_neither_logging_nor_json():
+    # a fresh interpreter; modules the interpreter loaded at startup are
+    # not counted against the package
+    proc = _run_python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import padiaphony\n"
+        "from padiaphony.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['bound', '--dim', '4', '--count', '2048'],\n"
+        "                 ['diaphony', '--dim', '4', '--count', '2048', '--start', '1234567'],\n"
+        "                 ['sweep', '--bases', '2,3', '--from', '1', '--to', '4096', '--step', 'pow2'],\n"
+        "                 ['halton', '--bases', '2,3', '--count', '8']):\n"
+        "        assert main(argv) == 0, argv\n"
+        "loaded = {'logging', 'json'} & (set(sys.modules) - before)\n"
+        "assert not loaded, loaded\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert main(['halton', '--bases', '2,3', '--count', '2', '--format', 'json']) == 0\n"
+        "import json\n"
+        "assert json.loads(out.getvalue())['rows'][1]['x2'] == '1/3'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_streamed_output_equals_the_joined_text(capsys, monkeypatch):
+    seen = []
+
+    def spy(args, header, rows, **flags):
+        seen.append((args, header, rows, flags))
+        _emit(args, header, rows, **flags)
+
+    monkeypatch.setattr(padiaphony.cli, "_emit", spy)
+    for fmt in ("csv", "json"):
+        code, out, _ = run(capsys, "sweep", "--bases", "2", "--from", "1", "--to", "4096",
+                           "--format", fmt)
+        assert code == 0
+        args, header, rows, flags = seen.pop()
+        assert len(rows) == 4096
+        if fmt == "csv":
+            lines = [",".join(header)]
+            lines += [",".join(padiaphony.cli._fmt(row[h]) for h in header) for row in rows]
+            text = "\n".join(lines) + "\n"
+        else:
+            config = {"command": "sweep", "bases": [2], **flags, "format": "json",
+                      "output": None}
+            text = json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
+        assert out == text
+
+
+class _CountingSink:
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_does_not_hold_the_whole_text(fmt, monkeypatch):
+    args = Namespace(command="sweep", bases=validate_bases([2]), format=fmt, out=None)
+    header = ["N", "F", "F2", "bound_F2", "ratio"]
+    rows = [{"N": n, "F": 1 / n, "F2": 1 / n**2, "bound_F2": 3 / n, "ratio": n / 3}
+            for n in range(1, 2**14 + 1)]
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        _emit(args, header, rows, step="1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 2**14 * 40
+    assert peak < sink.chars / 2

@@ -58,6 +58,7 @@ import padiaphony.diaphony
 from padiaphony.diaphony import (
     ENUMERATION_CAP,
     _check_box,
+    _clamp_unit,
     _first_near_max,
     _kernel_report,
     _valuation_blocks,
@@ -677,6 +678,21 @@ def test_no_meaningful_negative_excursion_on_uniform_grid(caplog):
             rep = diaphony_kernel(pts, B2, "fast")
             assert 0.0 <= rep.f_squared <= 1.0
     assert not caplog.records
+
+
+def test_clamp_logs_on_the_module_logger(caplog):
+    # the logger is fetched only when a value is clamped
+    with caplog.at_level(logging.DEBUG, logger="padiaphony.diaphony"):
+        assert _clamp_unit(0.25) == 0.25
+        assert not caplog.records
+        assert _clamp_unit(1.0 + 1e-6) == 1.0
+        assert _clamp_unit(-1e-12) == 0.0
+    assert [(r.name, r.levelno) for r in caplog.records] == [
+        ("padiaphony.diaphony", logging.WARNING),
+        ("padiaphony.diaphony", logging.DEBUG),
+    ]
+    assert caplog.records[0].getMessage() == "squared diaphony clamped to [0, 1] by 1e-06"
+    assert caplog.records[1].getMessage() == "squared diaphony clamped to [0, 1] by -1e-12"
 
 
 def test_diaphony_is_deterministic():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from padiaphony import (
     MAX_INDEX,
     CountOverflow,
+    DigitVector,
     DuplicateBase,
     EmptyBases,
     NonPrimeBase,
@@ -157,3 +158,37 @@ def test_set_equals_converted_stream(case):
     for a, b in zip(got.digits, want.digits):
         assert a.dtype == b.dtype == np.int64
         assert np.array_equal(a, b)
+
+
+def _assert_stream_matches_points(bases, count, start):
+    """halton_stream against halton_point index by index; every coordinate
+    is trimmed and equals (and hashes as) the public constructor's."""
+    got = list(halton_stream(count, bases, start))
+    assert got == [halton_point(n, bases) for n in range(start, start + count)]
+    for pt in got:
+        for coord in pt.coords:
+            assert not coord.digits or coord.digits[-1] != 0
+            public = DigitVector(coord.base, coord.digits)
+            assert coord == public
+            assert hash(coord) == hash(public)
+
+
+@pytest.mark.parametrize("primes", [(2,), (2, 3, 5), (3, 7, 11), (2, 65537)])
+def test_stream_equals_points_across_carries(primes):
+    bases = validate_bases(primes)
+    _assert_stream_matches_points(bases, 1, 0)
+    _assert_stream_matches_points(bases, 40, 0)
+    for p in primes:
+        # each segment crosses p**k, where the carry runs into a new digit
+        for k in (1, 2, 3, 13, 40):
+            if 3 <= p**k <= MAX_INDEX:
+                _assert_stream_matches_points(bases, 6, p**k - 3)
+    _assert_stream_matches_points(bases, 50, MAX_INDEX - 49)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=segments())
+@example(case=(validate_bases([2, 65537]), 5, MAX_INDEX - 4))
+@example(case=(validate_bases([3, 2]), 9, 0))
+def test_stream_equals_points(case):
+    _assert_stream_matches_points(*case)
