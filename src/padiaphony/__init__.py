@@ -25,6 +25,7 @@ from .diaphony import (
 )
 from .errors import (
     BaseMismatch,
+    BaseTooLarge,
     BoxTooLarge,
     CountOverflow,
     DiaphonyError,

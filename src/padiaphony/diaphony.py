@@ -24,7 +24,6 @@ import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import BoxTooLarge, CountOverflow, DimensionMismatch, SegmentTooLarge, ZeroIndex
@@ -498,7 +497,7 @@ def halton_diaphony_prefixes(
     q (N - M + r) ordered pairs of distinct indices agree modulo M.  So the
     kernel sum is N sigma + C sum_{M(a) <= N} q (N - M + r) / M, whatever
     the start; it is summed in integers over the common denominator
-    prod_i p_i**A_i, p_i**A_i <= max(sizes), and rounded once per size.
+    lcm(M(a) <= max(sizes)), and rounded once per size.
     """
     bases.require_distinct()
     sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
@@ -506,12 +505,7 @@ def halton_diaphony_prefixes(
         raise ValueError("prefix sizes must be a nonempty list of positive integers")
     limit, start = _check_segment(max(sizes), start)
     moduli = _cell_moduli(bases.primes, limit)
-    scale = 1
-    for p in bases.primes:
-        power = 1
-        while power * p <= limit:
-            power *= p
-        scale *= power
+    scale = math.lcm(*moduli)
     shares = [scale // m for m in moduli]
     sig = weight_mass(bases)
     c = math.prod(p * p - 1 for p in bases.primes)
@@ -531,31 +525,6 @@ def halton_diaphony_prefixes(
 # Spectral route
 
 
-@lru_cache(maxsize=64)
-def _valuation_blocks(p: int, g: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The weight blocks of frequencies 0..length-1 of an axis of size
-    P = p**g: the frequencies listed block by block, each block ascending,
-    and each block's start.
-
-    Frequency j holds k = rev(j), whose top digit sits at place g - 1 -
-    v_p(j), so k lies in block t = g - 1 - v_p(j).  Block 0 holds j = 0
-    (k = 0) and every multiple of p**(g-1); block t >= 1 holds the multiples
-    of p**v, v = g - 1 - t, that p**(v+1) does not divide, the
-    q p**(v+1) + r p**v with 0 < r < p.
-    """
-    import numpy as np
-
-    blocks = [np.arange(0, length, p ** (g - 1))]
-    for v in range(g - 2, -1, -1):
-        block = np.add.outer(np.arange(0, length, p ** (v + 1)), p**v * np.arange(1, p)).ravel()
-        blocks.append(block[: (length - 1) // p**v - (length - 1) // p ** (v + 1)])
-    order = np.concatenate(blocks)
-    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-    order.setflags(write=False)
-    starts.setflags(write=False)
-    return order, starts
-
-
 def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
     """The boxed part of the squared diaphony for every sub-box g' <= box:
     entry g' - 1 is (1/(sigma - 1)) * sum over the nonzero k of g' of
@@ -565,13 +534,15 @@ def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox) -> np.ndarr
     point histogram (the transform's sign does not change it).  The
     histogram is real, so its DFT at -j is the conjugate of that at j: the
     last axis keeps frequencies 0..P/2 (``rfft``), and each interior column
-    counts twice for its mirror -j, which lies in the same weight blocks on
-    every axis since v_p(P - j) = v_p(j) for 0 < j < P.  Column 0 and, for
-    p = 2, the Nyquist column P/2 count once.  The weight of k_i is
-    p_i**-2t on block t (p_i**t <= k_i < p_i**(t+1); k_i < p_i is block 0),
-    so along each axis the energies are summed per block, scaled and
-    accumulated over the blocks.  Only sums and elementwise products run,
-    so the result does not depend on the thread count.
+    counts twice for its mirror -j, which has the same weight and lies in
+    the same sub-boxes on every axis since v_p(P - j) = v_p(j) for
+    0 < j < P.  Column 0 and, for p = 2, the Nyquist column P/2 count once.
+    On an axis of size P = p**g, k = rev(j) has its top digit at place
+    g - 1 - v_p(j), so its weight is p**-2(g - 1 - v_p(j)) (1 for j = 0),
+    and k < p**g' exactly when p**(g - g') divides j.  So each axis is
+    scaled by its weights, and sub-box g' sums the nested slice
+    [::p**(g - g')].  Only sums and elementwise products run, so the
+    result does not depend on the thread count.
     """
     import numpy as np
 
@@ -588,11 +559,15 @@ def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox) -> np.ndarr
     E[..., 1 : (P + 1) // 2] *= 2
     E.flat[0] = 0.0
     for axis, (p, g) in enumerate(zip(bases.primes, box.exponents)):
-        order, starts = _valuation_blocks(p, g, E.shape[axis])
-        weights = np.array([1.0 / p ** (2 * t) for t in range(g)])
-        weights = weights.reshape((g,) + (1,) * (E.ndim - 1 - axis))
-        E = E[(slice(None),) * axis + (order,)]
-        E = np.cumsum(np.add.reduceat(E, starts, axis=axis) * weights, axis=axis)
+        weights = np.empty(E.shape[axis])
+        for v in range(g):
+            weights[:: p**v] = 1.0 / p ** (2 * (g - 1 - v))
+        E *= weights.reshape((-1,) + (1,) * (E.ndim - 1 - axis))
+        lead = (slice(None),) * axis
+        E = np.stack(
+            [E[lead + (slice(None, None, p**v),)].sum(axis=axis) for v in reversed(range(g))],
+            axis=axis,
+        )
     n = len(ps)
     return E / (n * n) / float(weight_mass(bases) - 1)
 
@@ -656,10 +631,12 @@ def enclosure_grid(
     """Enclosures for every sub-box g' <= box, from a single transform.
 
     ``points`` is a PointSet or an iterable of Points.  Weyl sums and index
-    weights do not depend on the box, so one block-energy reduction of one
-    spectrum gives every sub-box's boxed sum; the entry for ``box`` itself
-    reads the value ``truncated_spectral_sum`` returns, so it equals
-    ``diaphony_spectral(points, bases, box).enclosure`` bitwise.
+    weights do not depend on the box, and in frequency order sub-box g' is
+    the nested slice of the frequencies that p**(g - g') divides on each
+    axis, so one weighted spectrum gives every sub-box's boxed sum; the
+    entry for ``box`` itself reads the value ``truncated_spectral_sum``
+    returns, so it equals ``diaphony_spectral(points, bases, box).enclosure``
+    bitwise.
     """
     import numpy as np
 

@@ -13,6 +13,15 @@ class NonPrimeBase(DiaphonyError):
         super().__init__(f"base {value!r} is not a prime number")
 
 
+class BaseTooLarge(DiaphonyError):
+    """A base past the largest that int64 digit matrices hold."""
+
+    def __init__(self, value, cap):
+        self.value = value
+        self.cap = cap
+        super().__init__(f"base {value} exceeds {cap}, the largest supported base")
+
+
 class DuplicateBase(DiaphonyError):
     """Pairwise-distinct prime bases were required but a base repeats."""
 

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     BaseMismatch,
+    BaseTooLarge,
     DimensionMismatch,
     DuplicateBase,
     EmptyBases,
@@ -49,20 +50,36 @@ __all__ = [
 ]
 
 
+# Miller-Rabin on these witnesses is exact below 318665857834031151167461
+# (Sorenson and Webster, 2017), far above _MAX_BASE; past it, a True is a
+# strong probable prime to all twelve.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Digit matrices are int64, so a base must be below 2**63.
+_MAX_BASE = 2**63 - 1
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; cached because bases repeat heavily."""
+    """Deterministic Miller-Rabin primality test over _WITNESSES; cached
+    because bases repeat heavily."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -163,6 +180,9 @@ class PrimeBases:
         primes = tuple(self.primes)
         if not primes:
             raise EmptyBases()
+        for p in primes:
+            if isinstance(p, int) and p > _MAX_BASE:
+                raise BaseTooLarge(p, _MAX_BASE)
         for p in primes:
             _require_prime(p)
         object.__setattr__(self, "primes", primes)

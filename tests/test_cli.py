@@ -51,6 +51,18 @@ def test_halton_non_prime_base_is_usage_error(capsys):
     assert "--bases" in err
 
 
+def test_halton_accepts_a_large_prime_base_at_once(capsys):
+    code, out, _ = run(capsys, "halton", "--bases", str(2**61 - 1), "--count", "2")
+    assert code == 0
+    assert out.splitlines()[2].startswith(f"1,1/{2**61 - 1},")
+
+
+def test_base_of_2_pow_63_or_more_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "halton", "--bases", f"2,{2**64 - 59}", "--count", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --bases: base 18446744073709551557 exceeds")
+
+
 def test_dim_shorthand(capsys):
     code, out, _ = run(capsys, "halton", "--dim", "3", "--count", "1")
     assert code == 0

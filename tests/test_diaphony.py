@@ -61,7 +61,6 @@ from padiaphony.diaphony import (
     _clamp_unit,
     _first_near_max,
     _kernel_report,
-    _valuation_blocks,
 )
 from padiaphony.padic import _point_list
 
@@ -220,29 +219,6 @@ def test_weyl_ceiling_ratio_equals_the_geometric_sum_oracle(primes, exps, n_poin
     ratio.flat[0] = -1.0
     expected = ratio.max()
     assert abs(verify_weyl_bound(n_points, bases, box).worst_ratio - expected) <= 1e-12 * expected
-
-
-def _blocks_by_sort(p, g, length):
-    """Frequencies 0..length-1 stably sorted by their weight block
-    g - 1 - #{1 <= v < g : p**v divides j}, and each block's start."""
-    j = np.arange(length)
-    block = np.full(length, g - 1)
-    for v in range(1, g):
-        block -= j % p**v == 0
-    order = np.argsort(block, kind="stable")
-    return order, np.searchsorted(block[order], np.arange(g))
-
-
-@pytest.mark.parametrize(
-    "p, g", [(2, 1), (3, 1), (65537, 1), (2, 5), (3, 4), (5, 3), (7, 2), (2, 21)]
-)
-def test_valuation_blocks_list_the_frequencies_sorted_by_block(p, g):
-    # the block order fixes the summation order of the boxed sums' bits
-    for length in (p**g // 2 + 1, p**g):
-        order, starts = _valuation_blocks(p, g, length)
-        sorted_order, sorted_starts = _blocks_by_sort(p, g, length)
-        assert np.array_equal(order, sorted_order)
-        assert np.array_equal(starts, sorted_starts)
 
 
 @st.composite
@@ -763,6 +739,44 @@ def test_enclosure_grid_matches_individual_calls():
             assert (lower, upper) == pytest.approx(rep.enclosure, rel=1e-13, abs=0)
 
 
+def _ingested(primes, exps, rows, repeats):
+    bases = PrimeBases(primes)
+    rows = rows + [rows[i] for i in repeats]
+    return bases, [point_from_values(row, bases) for row in rows], TruncationBox(exps)
+
+
+@st.composite
+def slice_cases(draw):
+    """Ingested points in 1-3 dimensions with bases up to 11 (repeats
+    allowed) and duplicate rows, and a box of at most 4096 index vectors."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=1, max_size=3))
+    exps = [draw(st.integers(1, 6)) for _ in primes]
+    while math.prod(p**g for p, g in zip(primes, exps)) > 4096 and max(exps) > 1:
+        exps[exps.index(max(exps))] -= 1
+    rows = draw(st.lists(st.tuples(*(st.floats(0, 1, exclude_max=True) for _ in primes)),
+                         min_size=1, max_size=24))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=6))
+    return _ingested(tuple(primes), tuple(exps), rows, repeats)
+
+
+_SLICE_ROWS = [(0.1, 0.7, 0.3), (0.5, 0.25, 0.9), (0.33, 0.01, 0.6), (0.8, 0.45, 0.05)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=slice_cases())
+@example(case=_ingested((3, 2), (3, 4), [r[:2] for r in _SLICE_ROWS], [0, 0, 2]))  # Nyquist
+@example(case=_ingested((7, 5), (2, 3), [r[:2] for r in _SLICE_ROWS], [1, 3]))  # all odd
+@example(case=_ingested((2, 2, 3), (4, 3, 2), _SLICE_ROWS, [3, 3]))  # a repeated base
+def test_grid_entries_equal_their_own_box_sums(case):
+    # each sub-box of the grid is a nested slice of one spectrum; its own
+    # call transforms a smaller histogram
+    bases, pts, box = case
+    ps = PointSet.from_points(pts, bases)
+    for sub, (lower, _) in enclosure_grid(ps, bases, box).items():
+        own = truncated_spectral_sum(ps, bases, TruncationBox(sub))
+        assert abs(lower - own) <= 1e-14 * abs(own)
+
+
 def _weighted_energy_oracle(table, bases):
     """sum_k block_weight_product(k) |S(k)|**2 / N**2 / (sigma - 1) over the
     nonzero k of the table, index by index."""
@@ -813,7 +827,7 @@ def test_spectral_sum_traced_peak_is_at_most_20_bytes_per_box_entry():
     # complex k-indexed table and its reversal gather would take 32
     ps = halton_set(8192, B23)
     box = TruncationBox((10, 6))
-    truncated_spectral_sum(ps, B23, box)  # fills the per-axis caches
+    truncated_spectral_sum(ps, B23, box)  # warms numpy's FFT
     tracemalloc.start()
     try:
         truncated_spectral_sum(ps, B23, box)

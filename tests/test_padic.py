@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from padiaphony import (
     BaseMismatch,
+    BaseTooLarge,
     DigitVector,
     DimensionMismatch,
     IndexVector,
@@ -24,6 +25,7 @@ from padiaphony import (
     default_depth,
     float_to_digits,
     halton_point,
+    is_prime,
     monna,
     monna_inverse,
     padic_phase,
@@ -88,6 +90,34 @@ def test_monna_rejects_non_prime():
         monna(3, 6)
     with pytest.raises(NonPrimeBase):
         monna(3, 1)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_equals_trial_division_below_10_to_the_5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _is_prime_by_trial_division(n)
+    ]
+
+
+def test_is_prime_on_large_primes_and_strong_pseudoprimes():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**63 - 25)
+    # 151 * 751 * 28351 passes the strong test to bases 2, 3, 5 and 7
+    assert 3215031751 == 151 * 751 * 28351
+    assert not is_prime(3215031751)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+def test_bases_of_2_pow_63_or_more_are_rejected_before_the_primality_test():
+    for p in (2**63, 2**63 + 1, 2**64 - 59, 2**89 - 1):
+        with pytest.raises(BaseTooLarge):
+            PrimeBases((2, p))
+    with pytest.raises(NonPrimeBase):
+        PrimeBases((2**63 - 1,))  # 7**2 * 73 * 127 * 337 * 92737 * 649657
+    assert PrimeBases((2**63 - 25,)).primes == (2**63 - 25,)
 
 
 def test_monna_inverse_examples():
