@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 from .diaphony import (
     _check_box,
@@ -28,8 +29,10 @@ __all__ = ["main", "entry"]
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-# A sweep row costs about 1 KB while rows are built and formatted, so the
-# cap keeps a sweep near 1 GB, the order of halton_set's digit-cell cap.
+# Rows are streamed, but a sweep holds one report per row until it ends:
+# about 0.25 KB a row for CSV and 0.5 KB for JSON, which lists the row dicts
+# (2**18 rows in bases 2,3 peaked at 81 and 152 MB), so the cap keeps a sweep
+# near 0.5 GB.
 _MAX_SWEEP_ROWS = 2**20
 
 
@@ -86,7 +89,7 @@ def _parse_box(args) -> TruncationBox | None:
         raise _UsageError(f"--g: {exc}") from None
 
 
-def _emit(args, header: list[str], rows: list[dict], **flags) -> None:
+def _emit(args, header: list[str], rows: Iterable[dict], **flags) -> None:
     """Write the rows as CSV, or as JSON after a ``config`` echo of the
     command, its bases, its own ``flags``, the format and the output."""
     if not args.out:
@@ -99,9 +102,10 @@ def _emit(args, header: list[str], rows: list[dict], **flags) -> None:
         raise _UsageError(f"--out: {exc}") from None
 
 
-def _write_rows(out, args, header: list[str], rows: list[dict], flags: dict) -> None:
+def _write_rows(out, args, header: list[str], rows: Iterable[dict], flags: dict) -> None:
     """Stream the output to ``out`` a line or a JSON chunk at a time, so
-    the whole text is never held in memory."""
+    the whole text is never held in memory; CSV rows are also formatted one
+    at a time, while JSON lists them first."""
     if args.format == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
@@ -116,7 +120,7 @@ def _write_rows(out, args, header: list[str], rows: list[dict], flags: dict) -> 
         "format": args.format,
         "output": args.out,
     }
-    json.dump({"config": config, "rows": rows}, out, indent=2)
+    json.dump({"config": config, "rows": list(rows)}, out, indent=2)
     out.write("\n")
 
 
@@ -205,19 +209,19 @@ def cmd_sweep(args) -> int:
             )
         sizes = range(lo, hi + 1, stride)
     reports = halton_diaphony_prefixes(args.bases, sizes, args.start)
-    rows = []
-    for n, report in zip(sizes, reports):
-        bound = halton_diaphony_bound(args.bases, n)
-        rows.append(
-            {
+
+    def rows():
+        for n, report in zip(sizes, reports):
+            bound = halton_diaphony_bound(args.bases, n).bound_f_squared
+            yield {
                 "N": n,
                 "F": report.f,
                 "F2": report.f_squared,
-                "bound_F2": bound.bound_f_squared,
-                "ratio": report.f_squared / bound.bound_f_squared,
+                "bound_F2": bound,
+                "ratio": report.f_squared / bound,
             }
-        )
-    _emit(args, ["N", "F", "F2", "bound_F2", "ratio"], rows,
+
+    _emit(args, ["N", "F", "F2", "bound_F2", "ratio"], rows(),
           **{"from": lo, "to": hi, "step": step, "start": args.start})
     return 0
 

@@ -37,7 +37,6 @@ from .padic import (
     PrimeBases,
     _as_int,
     _point_list,
-    _require_bases,
     char_product,
     monna,
 )
@@ -113,15 +112,6 @@ class WeylCheckReport:
     violations: int
 
 
-def _point_set(points, bases: PrimeBases) -> PointSet:
-    """The fast routes' single entry conversion: a PointSet passes through
-    once its bases match; anything else is an iterable of Points."""
-    if isinstance(points, PointSet):
-        _require_bases(points, bases)
-        return points
-    return PointSet.from_points(points, bases)
-
-
 def _check_box(box: TruncationBox, bases: PrimeBases) -> None:
     """The one box check.  p**g >= 2**g, so an exponent of
     ENUMERATION_CAP.bit_length() or more is rejected before p**g is built."""
@@ -135,20 +125,6 @@ def _check_box(box: TruncationBox, bases: PrimeBases) -> None:
         raise BoxTooLarge(box.exponents, ENUMERATION_CAP)
 
 
-def _clamp_unit(raw: float) -> float:
-    clamped = min(1.0, max(0.0, raw))
-    if clamped != raw:
-        import logging  # only here: clamps are rare, and logging is slow to load
-
-        log = logging.getLogger(__name__)
-        excursion = raw - clamped
-        if abs(excursion) > RATIO_TOLERANCE:
-            log.warning("squared diaphony clamped to [0, 1] by %.3g", excursion)
-        else:
-            log.debug("squared diaphony clamped to [0, 1] by %.3g", excursion)
-    return clamped
-
-
 # ---------------------------------------------------------------------------
 # Weyl sums
 
@@ -158,8 +134,6 @@ def weyl_sum(points, k: IndexVector, bases: PrimeBases) -> complex:
     correctly rounded by math.fsum.  ``points`` is a PointSet or an
     iterable of Points; a PointSet is converted to Points once."""
     pts = _point_list(points, bases)
-    if not pts:
-        raise ValueError("at least one point is required")
     values = [char_product(k, x, bases) for x in pts]
     return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
@@ -217,7 +191,7 @@ def weyl_sum_table(
     """
     import numpy as np
 
-    ps = _point_set(points, bases)
+    ps = PointSet.from_points(points, bases)
     _check_box(box, bases)
     if system not in ("padic", "walsh"):
         raise ValueError(f"unknown function system {system!r}")
@@ -338,9 +312,9 @@ def _lcp_intervals(agree: np.ndarray) -> tuple[np.ndarray, ...]:
     return s, e, lo, hi
 
 
-def _pair_sums(ps: PointSet, need: int, sizes: list[int]) -> list[int]:
+def _pair_sums(ps: PointSet, sizes: list[int]) -> list[int]:
     """For each n in ``sizes``, the kernel sum over the point pairs
-    m < m' < n, times prod_i p_i**depth_i; need = max(sizes).
+    m < m' < n, times prod_i p_i**depth_i.
 
     One pass per coordinate carries every live (cell, point) entry.  The
     entries are sorted by cell and by rank in the coordinate's digit order,
@@ -353,6 +327,7 @@ def _pair_sums(ps: PointSet, need: int, sizes: list[int]) -> list[int]:
     """
     import numpy as np
 
+    need = max(sizes)
     point = np.arange(need)
     cell = np.zeros(need, dtype=np.int64)
     cell_key = np.zeros(1, dtype=np.int64)
@@ -393,8 +368,9 @@ def _pair_sums(ps: PointSet, need: int, sizes: list[int]) -> list[int]:
 
 
 def _kernel_report(n: int, pair_sum: Fraction, sig: int) -> DiaphonyReport:
-    """Report from the exact kernel sum over all ordered pairs of n points."""
-    f_squared = _clamp_unit(float((pair_sum / (n * n) - 1) / (sig - 1)))
+    """Report from the exact kernel sum over all ordered pairs of n points.
+    The exact squared diaphony lies in [0, 1], so its float does too."""
+    f_squared = float((pair_sum / (n * n) - 1) / (sig - 1))
     return DiaphonyReport(n, math.sqrt(f_squared), f_squared, "kernel")
 
 
@@ -412,14 +388,14 @@ def diaphony_kernel_prefixes(
     DIGIT_CELL_CAP live (cell, point) entries in one coordinate, as deep
     near-duplicate clusters can reach, it raises SegmentTooLarge.
     """
-    ps = _point_set(points, bases)
+    ps = PointSet.from_points(points, bases)
     sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
     if not sizes:
         return []
     for nn in sizes:
         if not 1 <= nn <= len(ps):
             raise ValueError(f"prefix size {nn} outside 1..{len(ps)}")
-    totals = _pair_sums(ps, max(sizes), sizes)
+    totals = _pair_sums(ps, sizes)
     scale = math.prod(p ** d.shape[1] for p, d in zip(bases.primes, ps.digits))
     sig = weight_mass(bases)
     return [
@@ -448,13 +424,11 @@ def diaphony_kernel(
              A PointSet is converted to Points once.
     """
     if mode == "fast":
-        ps = _point_set(points, bases)
+        ps = PointSet.from_points(points, bases)
         return diaphony_kernel_prefixes(ps, bases, [len(ps)])[0]
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     pts = _point_list(points, bases)
-    if not pts:
-        raise ValueError("at least one point is required")
     diagonal = off = Fraction(0)
     for i, x in enumerate(pts):
         diagonal += kernel_value(x, x, bases)
@@ -583,7 +557,7 @@ def truncated_spectral_sum(
     ``points`` is a PointSet or an iterable of Points.  The value is the
     full-box entry of the sub-box sums that ``enclosure_grid`` reads for
     every sub-box."""
-    ps = _point_set(points, bases)
+    ps = PointSet.from_points(points, bases)
     return float(_boxed_sums(ps, bases, box)[(-1,) * bases.dimension])
 
 
@@ -606,13 +580,14 @@ def diaphony_spectral(
     sum and that sum plus the tail, but ``lower`` is a float sum that can
     round a few ulps above the exact boxed sum, so the enclosure holds up to
     that rounding, not rigorously.  The reported point value is the
-    midpoint of the enclosure.
+    midpoint of the enclosure, below 1: the exact boxed sum is at most
+    1 - tail, and every box within ENUMERATION_CAP has tail > 1e-7.
     """
-    ps = _point_set(points, bases)
+    ps = PointSet.from_points(points, bases)
     lower = truncated_spectral_sum(ps, bases, box)
     tail = spectral_tail(bases, box)
     upper = lower + float(tail)
-    f_squared = _clamp_unit(lower + float(tail) / 2)
+    f_squared = lower + float(tail) / 2
     return DiaphonyReport(
         len(ps),
         math.sqrt(f_squared),
@@ -640,7 +615,7 @@ def enclosure_grid(
     """
     import numpy as np
 
-    lowers = _boxed_sums(_point_set(points, bases), bases, box)
+    lowers = _boxed_sums(PointSet.from_points(points, bases), bases, box)
     out = {}
     for idx in np.ndindex(lowers.shape):
         exps = tuple(i + 1 for i in idx)

@@ -205,8 +205,8 @@ def _require_bases(ps: PointSet, bases: PrimeBases) -> None:
 
 
 def _point_list(points, bases: PrimeBases) -> list[Point]:
-    """The points as a list, each checked against the bases.  A PointSet in
-    these bases becomes one Point per digit row."""
+    """The points as a nonempty list, each checked against the bases.  A
+    PointSet in these bases becomes one Point per digit row."""
     if isinstance(points, PointSet):
         _require_bases(points, bases)
         rows = zip(*(m.tolist() for m in points.digits))
@@ -214,6 +214,8 @@ def _point_list(points, bases: PrimeBases) -> list[Point]:
             Point(tuple(map(DigitVector._trusted, bases.primes, row))) for row in rows
         ]
     pts = list(points)
+    if not pts:
+        raise ValueError("at least one point is required")
     for pt in pts:
         if pt.dimension != bases.dimension:
             raise DimensionMismatch(
@@ -261,12 +263,14 @@ class PointSet:
 
     @classmethod
     def from_points(cls, points, bases: PrimeBases) -> PointSet:
-        """The digit arrays of a nonempty iterable of Points in these bases."""
+        """The digit arrays of a nonempty iterable of Points in these bases;
+        a PointSet in these bases is returned as it is."""
+        if isinstance(points, PointSet):
+            _require_bases(points, bases)
+            return points
         import numpy as np
 
         pts = _point_list(points, bases)
-        if not pts:
-            raise ValueError("at least one point is required")
         mats = []
         for i in range(bases.dimension):
             rows = [pt.coords[i].digits for pt in pts]
@@ -418,13 +422,12 @@ def char_product(
     return phase_to_complex(char_phase_total(k, x, bases, phase_fn))
 
 
-def point_from_values(values, bases: PrimeBases, depth: int | None = None) -> Point:
-    """Ingest real coordinates into an exact Point, one expansion per base."""
+def point_from_values(values, bases: PrimeBases) -> Point:
+    """Ingest real coordinates into an exact Point, one expansion per base,
+    truncated at the base's ``default_depth``."""
     vals = list(values)
     if len(vals) != bases.dimension:
         raise DimensionMismatch(
             f"{len(vals)} coordinates for {bases.dimension} bases"
         )
-    return Point(
-        tuple(float_to_digits(v, p, depth) for v, p in zip(vals, bases.primes))
-    )
+    return Point(tuple(float_to_digits(v, p) for v, p in zip(vals, bases.primes)))

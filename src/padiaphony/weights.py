@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NonPrimeBase
-from .padic import IndexVector, PrimeBases, is_prime
+from .padic import IndexVector, PrimeBases, _as_int, is_prime
 
 __all__ = [
     "TruncationBox",
@@ -24,12 +24,12 @@ class TruncationBox:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exponents = tuple(self.exponents)
+        exponents = tuple(_as_int(g, "box exponent") for g in self.exponents)
         if not exponents:
             raise DimensionMismatch("a truncation box needs at least one entry")
         for g in exponents:
-            if not isinstance(g, int) or g < 1:
-                raise ValueError(f"box exponent {g!r} must be a positive integer")
+            if g < 1:
+                raise ValueError(f"box exponent {g} must be a positive integer")
         object.__setattr__(self, "exponents", exponents)
 
     @property

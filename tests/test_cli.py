@@ -455,7 +455,10 @@ def test_csv_runs_load_neither_logging_nor_json():
         "    for argv in (['bound', '--dim', '4', '--count', '2048'],\n"
         "                 ['diaphony', '--dim', '4', '--count', '2048', '--start', '1234567'],\n"
         "                 ['sweep', '--bases', '2,3', '--from', '1', '--to', '4096', '--step', 'pow2'],\n"
-        "                 ['halton', '--bases', '2,3', '--count', '8']):\n"
+        "                 ['halton', '--bases', '2,3', '--count', '8'],\n"
+        "                 ['diaphony', '--bases', '2,3', '--count', '64',\n"
+        "                  '--method', 'spectral', '--g', '4,3'],\n"
+        "                 ['verify-lemma', '--bases', '2,3', '--count', '64', '--g', '4,3']):\n"
         "        assert main(argv) == 0, argv\n"
         "loaded = {'logging', 'json'} & (set(sys.modules) - before)\n"
         "assert not loaded, loaded\n"
@@ -472,8 +475,10 @@ def test_streamed_output_equals_the_joined_text(capsys, monkeypatch):
     seen = []
 
     def spy(args, header, rows, **flags):
+        # sweep rows arrive as a generator: keep a copy, emit them streamed
+        rows = list(rows)
         seen.append((args, header, rows, flags))
-        _emit(args, header, rows, **flags)
+        _emit(args, header, iter(rows), **flags)
 
     monkeypatch.setattr(padiaphony.cli, "_emit", spy)
     for fmt in ("csv", "json"):

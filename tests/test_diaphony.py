@@ -1,6 +1,5 @@
 """Diaphony engines: spot values, cross-checks between routes, bounds."""
 
-import logging
 import math
 import random
 import tracemalloc
@@ -58,7 +57,6 @@ import padiaphony.diaphony
 from padiaphony.diaphony import (
     ENUMERATION_CAP,
     _check_box,
-    _clamp_unit,
     _first_near_max,
     _kernel_report,
 )
@@ -267,6 +265,12 @@ def test_box_cap_is_enforced():
         diaphony_spectral(list(halton_stream(2, B3)), B3, TruncationBox((14,)))
 
 
+def test_box_of_another_dimension_is_rejected():
+    pts = list(halton_stream(2, B23))
+    with pytest.raises(DimensionMismatch, match="box dimension 1 != bases dimension 2"):
+        diaphony_spectral(pts, B23, TruncationBox((3,)))
+
+
 def test_box_check_is_one_comparison_with_the_cap():
     # exactly ENUMERATION_CAP indices pass; one exponent more is rejected
     _check_box(TruncationBox((22,)), B2)
@@ -451,6 +455,8 @@ def test_exact_mode_equals_ordered_double_sum_and_fast_route(primes):
         exact = diaphony_kernel(pts, bases, mode="exact")
         assert exact == _ordered_double_sum_report(pts, bases)
         assert exact == diaphony_kernel(pts, bases, mode="fast")
+        # the exact rational lies in [0, 1], and rounding keeps it there
+        assert 0.0 <= exact.f_squared <= 1.0
 
     check()
 
@@ -639,36 +645,19 @@ def test_kernel_mode_validation():
     pts = list(halton_stream(2, B2))
     with pytest.raises(ValueError):
         diaphony_kernel(pts, B2, "approximate")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one point"):
         diaphony_kernel([], B2)
     with pytest.raises(ValueError, match="at least one point"):
         diaphony_kernel([], B2, mode="exact")
 
 
-def test_no_meaningful_negative_excursion_on_uniform_grid(caplog):
+def test_no_meaningful_negative_excursion_on_uniform_grid():
     # N = 2**m one-dimensional prefixes are uniform grids with tiny diaphony;
-    # rounding must not push the squared value below -1e-9 before clamping
-    with caplog.at_level(logging.WARNING, logger="padiaphony.diaphony"):
-        for n in (1024, 4096):
-            pts = list(halton_stream(n, B2))
-            rep = diaphony_kernel(pts, B2, "fast")
-            assert 0.0 <= rep.f_squared <= 1.0
-    assert not caplog.records
-
-
-def test_clamp_logs_on_the_module_logger(caplog):
-    # the logger is fetched only when a value is clamped
-    with caplog.at_level(logging.DEBUG, logger="padiaphony.diaphony"):
-        assert _clamp_unit(0.25) == 0.25
-        assert not caplog.records
-        assert _clamp_unit(1.0 + 1e-6) == 1.0
-        assert _clamp_unit(-1e-12) == 0.0
-    assert [(r.name, r.levelno) for r in caplog.records] == [
-        ("padiaphony.diaphony", logging.WARNING),
-        ("padiaphony.diaphony", logging.DEBUG),
-    ]
-    assert caplog.records[0].getMessage() == "squared diaphony clamped to [0, 1] by 1e-06"
-    assert caplog.records[1].getMessage() == "squared diaphony clamped to [0, 1] by -1e-12"
+    # the exact rational is rounded once, so the value stays in [0, 1]
+    for n in (1024, 4096):
+        pts = list(halton_stream(n, B2))
+        rep = diaphony_kernel(pts, B2, "fast")
+        assert 0.0 <= rep.f_squared <= 1.0
 
 
 def test_diaphony_is_deterministic():
@@ -775,6 +764,18 @@ def test_grid_entries_equal_their_own_box_sums(case):
     for sub, (lower, _) in enclosure_grid(ps, bases, box).items():
         own = truncated_spectral_sum(ps, bases, TruncationBox(sub))
         assert abs(lower - own) <= 1e-14 * abs(own)
+    # the report is used as computed, so it must lie in range on its own
+    rep = diaphony_spectral(ps, bases, box)
+    assert 0.0 <= rep.enclosure[0] <= rep.f_squared < 1.0
+
+
+@pytest.mark.parametrize("x", [0.0, 1 / 3])
+def test_one_point_reads_below_one_in_a_deep_base_2_box(x):
+    # |S/N| = 1 at every k, so the exact boxed sum is 1 - tail with
+    # tail = 2**-21 at g = 21, and the point value is 1 - 2**-22
+    rep = diaphony_spectral([point_from_values([x], B2)], B2, TruncationBox((21,)))
+    assert 0.0 <= rep.enclosure[0] <= rep.f_squared < 1.0
+    assert rep.f_squared == pytest.approx(1 - 2**-22, rel=0, abs=1e-13)
 
 
 def _weighted_energy_oracle(table, bases):
@@ -915,9 +916,10 @@ def test_point_set_conversion_checks():
         PointSet.from_points([pt], B2)
     with pytest.raises(BaseMismatch):
         PointSet.from_points([pt], PrimeBases((2, 5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one point"):
         PointSet.from_points([], B2)
     ps = halton_set(4, B23)
+    assert PointSet.from_points(ps, B23) is ps
     b25, box = PrimeBases((2, 5)), TruncationBox((2, 2))
     for call in (
         lambda: diaphony_kernel(ps, b25),

@@ -19,6 +19,7 @@ from padiaphony import (
     NonPrimeBase,
     OutOfUnitInterval,
     Point,
+    PointSet,
     PrimeBases,
     char_phase_total,
     char_product,
@@ -90,6 +91,41 @@ def test_monna_rejects_non_prime():
         monna(3, 6)
     with pytest.raises(NonPrimeBase):
         monna(3, 1)
+
+
+def test_monna_rejects_a_negative_index():
+    with pytest.raises(ValueError, match="nonnegative"):
+        monna(-1, 2)
+
+
+def test_digit_positions_are_one_indexed():
+    dv = DigitVector(2, (1,))
+    assert (dv.digit(1), dv.digit(2)) == (1, 0)
+    with pytest.raises(ValueError, match="1-indexed"):
+        dv.digit(0)
+
+
+def test_point_needs_a_coordinate():
+    with pytest.raises(DimensionMismatch):
+        Point(())
+
+
+def test_point_set_validates_its_digit_matrices():
+    bases = PrimeBases((2, 3))
+    good = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    assert len(PointSet(bases, (good, good))) == 2
+    with pytest.raises(DimensionMismatch):
+        PointSet(bases, (good,))
+    for bad in (
+        good.astype(np.int32),  # not int64
+        good[:, 0],  # not 2-d
+        np.zeros((2, 0), dtype=np.int64),  # no column
+        good[:1],  # a row count unlike the first matrix's
+        np.array([[0], [-1]], dtype=np.int64),  # a digit below 0
+        np.array([[0], [3]], dtype=np.int64),  # a digit at least p
+    ):
+        with pytest.raises(ValueError):
+            PointSet(bases, (good, bad))
 
 
 def _is_prime_by_trial_division(n):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padiaphony import (
@@ -114,3 +115,11 @@ def test_truncation_box_validation():
         TruncationBox((0,))
     with pytest.raises(ValueError):
         TruncationBox((1, -2))
+    # exponents are read as integers, like IndexVector entries
+    box = TruncationBox((np.int64(3),))
+    assert box == TruncationBox((3,)) and type(box.exponents[0]) is int
+    for bad in ((3.0,), (2, np.float64(1.0))):
+        with pytest.raises(ValueError):
+            TruncationBox(bad)
+    with pytest.raises(DimensionMismatch):
+        TruncationBox(())
