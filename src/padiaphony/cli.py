@@ -2,6 +2,8 @@
 evaluation, truncation sweeps, and Weyl-sum verification, as CSV or JSON.
 
 Exit status: 0 success, 1 property violation, 2 usage error, 3 resource cap.
+The console script ends at once, by SIGPIPE, when the reader of its output
+goes away (a shell reports 141, as for any program so ended).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .diaphony import (
 from .diaphony import diaphony_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .diaphony import diaphony_kernel_prefixes  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import BoxTooLarge, DiaphonyError, SegmentTooLarge
-from .halton import halton_set, halton_stream, validate_bases
+from .halton import _check_segment, halton_set, halton_stream, validate_bases
 from .padic import PrimeBases
 from .weights import TruncationBox
 
@@ -29,11 +31,11 @@ __all__ = ["main", "entry"]
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-# Rows are streamed, but a sweep holds one report per row until it ends:
-# about 0.25 KB a row for CSV and 0.5 KB for JSON, which lists the row dicts
-# (2**18 rows in bases 2,3 peaked at 81 and 152 MB), so the cap keeps a sweep
-# near 0.5 GB.
+# A CSV sweep holds one chunk of _SWEEP_CHUNK reports at a time, so its
+# memory does not grow with the row count; JSON still lists every row dict
+# first, about 0.35 KB a row, so the cap keeps a JSON sweep near 0.4 GB.
 _MAX_SWEEP_ROWS = 2**20
+_SWEEP_CHUNK = 4096
 
 
 class _UsageError(DiaphonyError):
@@ -85,7 +87,7 @@ def _parse_box(args) -> TruncationBox | None:
         )
     try:
         return TruncationBox(tuple(exps))
-    except (DiaphonyError, ValueError) as exc:
+    except DiaphonyError as exc:
         raise _UsageError(f"--g: {exc}") from None
 
 
@@ -132,15 +134,18 @@ def cmd_halton(args) -> int:
     header = ["n"]
     for i in range(1, args.bases.dimension + 1):
         header += [f"x{i}", f"x{i}_dec"]
-    rows = []
-    for offset, pt in enumerate(halton_stream(args.count, args.bases, args.start)):
-        row = {"n": args.start + offset}
-        for i, coord in enumerate(pt.coords, start=1):
-            v = coord.value()
-            row[f"x{i}"] = _frac_str(v)
-            row[f"x{i}_dec"] = float(v)
-        rows.append(row)
-    _emit(args, header, rows, count=args.count, start=args.start)
+    points = halton_stream(args.count, args.bases, args.start)  # checked before any row
+
+    def rows():
+        for offset, pt in enumerate(points):
+            row = {"n": args.start + offset}
+            for i, coord in enumerate(pt.coords, start=1):
+                v = coord.value()
+                row[f"x{i}"] = _frac_str(v)
+                row[f"x{i}_dec"] = float(v)
+            yield row
+
+    _emit(args, header, rows(), count=args.count, start=args.start)
     return 0
 
 
@@ -208,18 +213,20 @@ def cmd_sweep(args) -> int:
                 f"--from/--to/--step give {n_rows} rows, more than the cap {_MAX_SWEEP_ROWS}"
             )
         sizes = range(lo, hi + 1, stride)
-    reports = halton_diaphony_prefixes(args.bases, sizes, args.start)
+    _check_segment(sizes[-1], args.start)  # the whole segment, before the first byte
 
     def rows():
-        for n, report in zip(sizes, reports):
-            bound = halton_diaphony_bound(args.bases, n).bound_f_squared
-            yield {
-                "N": n,
-                "F": report.f,
-                "F2": report.f_squared,
-                "bound_F2": bound,
-                "ratio": report.f_squared / bound,
-            }
+        for i in range(0, len(sizes), _SWEEP_CHUNK):
+            chunk = sizes[i : i + _SWEEP_CHUNK]
+            for n, report in zip(chunk, halton_diaphony_prefixes(args.bases, chunk, args.start)):
+                bound = halton_diaphony_bound(args.bases, n).bound_f_squared
+                yield {
+                    "N": n,
+                    "F": report.f,
+                    "F2": report.f_squared,
+                    "bound_F2": bound,
+                    "ratio": report.f_squared / bound,
+                }
 
     _emit(args, ["N", "F", "F2", "bound_F2", "ratio"], rows(),
           **{"from": lo, "to": hi, "step": step, "start": args.start})
@@ -294,4 +301,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The console script: ``main``'s status, except that a closed output
+    pipe ends the process by the default SIGPIPE action, with no traceback."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):  # POSIX only
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import BoxTooLarge, CountOverflow, DimensionMismatch, SegmentTooLarge, ZeroIndex
+from .errors import BoxTooLarge, CountOverflow, DiaphonyError, SegmentTooLarge, ZeroIndex
 from .halton import DIGIT_CELL_CAP, MAX_INDEX, _check_segment, halton_set
 from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .kernel import kernel_value
@@ -37,6 +37,7 @@ from .padic import (
     PrimeBases,
     _as_int,
     _point_list,
+    _require_dimension,
     char_product,
     monna,
 )
@@ -115,10 +116,7 @@ class WeylCheckReport:
 def _check_box(box: TruncationBox, bases: PrimeBases) -> None:
     """The one box check.  p**g >= 2**g, so an exponent of
     ENUMERATION_CAP.bit_length() or more is rejected before p**g is built."""
-    if box.dimension != bases.dimension:
-        raise DimensionMismatch(
-            f"box dimension {box.dimension} != bases dimension {bases.dimension}"
-        )
+    _require_dimension("box", box.dimension, bases)
     if max(box.exponents) >= ENUMERATION_CAP.bit_length() or math.prod(
         p**g for p, g in zip(bases.primes, box.exponents)
     ) > ENUMERATION_CAP:
@@ -194,7 +192,7 @@ def weyl_sum_table(
     ps = PointSet.from_points(points, bases)
     _check_box(box, bases)
     if system not in ("padic", "walsh"):
-        raise ValueError(f"unknown function system {system!r}")
+        raise DiaphonyError(f"unknown function system {system!r}")
     H = _histogram(ps, bases, box, complex)
     if system == "padic":
         np.fft.ifftn(H, norm="forward", out=H)
@@ -394,7 +392,7 @@ def diaphony_kernel_prefixes(
         return []
     for nn in sizes:
         if not 1 <= nn <= len(ps):
-            raise ValueError(f"prefix size {nn} outside 1..{len(ps)}")
+            raise DiaphonyError(f"prefix size {nn} outside 1..{len(ps)}")
     totals = _pair_sums(ps, sizes)
     scale = math.prod(p ** d.shape[1] for p, d in zip(bases.primes, ps.digits))
     sig = weight_mass(bases)
@@ -427,7 +425,7 @@ def diaphony_kernel(
         ps = PointSet.from_points(points, bases)
         return diaphony_kernel_prefixes(ps, bases, [len(ps)])[0]
     if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise DiaphonyError(f"unknown mode {mode!r}")
     pts = _point_list(points, bases)
     diagonal = off = Fraction(0)
     for i, x in enumerate(pts):
@@ -476,7 +474,7 @@ def halton_diaphony_prefixes(
     bases.require_distinct()
     sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
     if not sizes or min(sizes) < 1:
-        raise ValueError("prefix sizes must be a nonempty list of positive integers")
+        raise DiaphonyError("prefix sizes must be a nonempty list of positive integers")
     limit, start = _check_segment(max(sizes), start)
     moduli = _cell_moduli(bases.primes, limit)
     scale = math.lcm(*moduli)
@@ -643,7 +641,7 @@ def halton_diaphony_bound(bases: PrimeBases, n_points: int) -> BoundReport:
     bases.require_distinct()
     n_points = _as_int(n_points, "n_points")
     if n_points < 1:
-        raise ValueError("n_points must be at least 1")
+        raise DiaphonyError("n_points must be at least 1")
     if n_points > MAX_INDEX + 1:
         raise CountOverflow("n_points exceeds 2**63, the supported 64-bit index space")
     sig = weight_mass(bases)
@@ -667,10 +665,7 @@ def weyl_sum_bound(k: IndexVector, bases: PrimeBases) -> Fraction:
     """Exact ceiling 1 / ||sum_j phi_{p_j}(k_j)|| on |weyl_sum| over any
     Halton prefix in pairwise-distinct prime bases."""
     bases.require_distinct()
-    if k.dimension != bases.dimension:
-        raise DimensionMismatch(
-            f"index dimension {k.dimension} != bases dimension {bases.dimension}"
-        )
+    _require_dimension("index", k.dimension, bases)
     if k.is_zero:
         raise ZeroIndex()
     total = Fraction(0)
@@ -715,7 +710,7 @@ def verify_weyl_bound(
     _check_box(box, bases)
     n_points = _as_int(n_points, "n_points")
     if n_points < 1:
-        raise ValueError("n_points must be at least 1")
+        raise DiaphonyError("n_points must be at least 1")
     S = _histogram(halton_set(n_points, bases), bases, box, complex)
     np.fft.ifftn(S, norm="forward", out=S)
     ratio = np.abs(S)

@@ -1,8 +1,9 @@
 """Exception types shared across the package."""
 
 
-class DiaphonyError(Exception):
-    """Base class for all errors raised by this package."""
+class DiaphonyError(ValueError):
+    """Base class for all errors raised by this package: every rejected
+    argument, so callers catching ValueError see them too."""
 
 
 class NonPrimeBase(DiaphonyError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import CountOverflow, SegmentTooLarge
+from .errors import CountOverflow, DiaphonyError, SegmentTooLarge
 from .padic import DigitVector, Point, PointSet, PrimeBases, _as_int, monna
 
 __all__ = ["MAX_INDEX", "validate_bases", "halton_point", "halton_stream", "halton_set"]
@@ -25,8 +25,7 @@ def validate_bases(raw) -> PrimeBases:
 
 def halton_point(n: int, bases: PrimeBases) -> Point:
     """The n-th point: coordinate i is the base-p_i digit reversal of n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _as_int(n, "index")  # monna rejects n < 0
     if n > MAX_INDEX:
         raise CountOverflow(f"index {n} exceeds the supported range")
     return Point(tuple(monna(n, p) for p in bases.primes))
@@ -36,9 +35,9 @@ def _check_segment(count: int, start: int) -> tuple[int, int]:
     """(count, start) as Python ints, once both are in range."""
     count, start = _as_int(count, "count"), _as_int(start, "start")
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise DiaphonyError("count must be at least 1")
     if start < 0:
-        raise ValueError("start must be nonnegative")
+        raise DiaphonyError("start must be nonnegative")
     if start + count - 1 > MAX_INDEX:
         raise CountOverflow(
             f"indices up to {start + count - 1} exceed the supported range"

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     BaseMismatch,
     BaseTooLarge,
+    DiaphonyError,
     DimensionMismatch,
     DuplicateBase,
     EmptyBases,
@@ -58,10 +59,11 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_BASE = 2**63 - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 7.0 must not hit the entry for 7
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test over _WITNESSES; cached
     because bases repeat heavily."""
+    n = _as_int(n, "n")
     if n < 2:
         return False
     for a in _WITNESSES:
@@ -83,18 +85,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(p) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-        raise NonPrimeBase(p)
-
-
 def _as_int(value, what: str) -> int:
-    """``value`` as a Python int (``operator.index``); anything else raises
-    ValueError."""
+    """``value`` as a Python int (``operator.index``, so numpy integers
+    pass); anything else raises DiaphonyError.  The package's one integer
+    test."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
+        raise DiaphonyError(f"{what} {value!r} is not an integer") from None
+
+
+def _require_prime(p) -> int:
+    """p as a Python int, once it is a prime; the package's one prime test."""
+    p = _as_int(p, "base")
+    if not is_prime(p):
+        raise NonPrimeBase(p)
+    return p
+
+
+def _require_dimension(what: str, n: int, bases: PrimeBases) -> None:
+    """The one dimension check: ``what`` has dimension n, as the bases do."""
+    if n != bases.dimension:
+        raise DimensionMismatch(f"{what} dimension {n} != bases dimension {bases.dimension}")
 
 
 @dataclass(frozen=True)
@@ -110,13 +122,14 @@ class DigitVector:
     digits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _require_prime(self.base)
-        digits = tuple(self.digits)
+        base = _require_prime(self.base)
+        digits = tuple(_as_int(d, "digit") for d in self.digits)
         while digits and digits[-1] == 0:
             digits = digits[:-1]
         for d in digits:
-            if not isinstance(d, int) or not 0 <= d < self.base:
-                raise ValueError(f"digit {d!r} out of range for base {self.base}")
+            if not 0 <= d < base:
+                raise DiaphonyError(f"digit {d!r} out of range for base {base}")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "digits", digits)
 
     @classmethod
@@ -134,7 +147,7 @@ class DigitVector:
     def digit(self, j: int) -> int:
         """The j-th digit, 1-indexed; positions past the expansion are 0."""
         if j < 1:
-            raise ValueError("digit positions are 1-indexed")
+            raise DiaphonyError("digit positions are 1-indexed")
         return self.digits[j - 1] if j <= len(self.digits) else 0
 
     def value(self) -> Fraction:
@@ -177,15 +190,13 @@ class PrimeBases:
     primes: tuple[int, ...]
 
     def __post_init__(self):
-        primes = tuple(self.primes)
+        primes = tuple(_as_int(p, "base") for p in self.primes)
         if not primes:
             raise EmptyBases()
         for p in primes:
-            if isinstance(p, int) and p > _MAX_BASE:
+            if p > _MAX_BASE:
                 raise BaseTooLarge(p, _MAX_BASE)
-        for p in primes:
-            _require_prime(p)
-        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "primes", tuple(map(_require_prime, primes)))
 
     @property
     def dimension(self) -> int:
@@ -215,12 +226,9 @@ def _point_list(points, bases: PrimeBases) -> list[Point]:
         ]
     pts = list(points)
     if not pts:
-        raise ValueError("at least one point is required")
+        raise DiaphonyError("at least one point is required")
     for pt in pts:
-        if pt.dimension != bases.dimension:
-            raise DimensionMismatch(
-                f"point dimension {pt.dimension} != bases dimension {bases.dimension}"
-            )
+        _require_dimension("point", pt.dimension, bases)
         for c, p in zip(pt.coords, bases.primes):
             if c.base != p:
                 raise BaseMismatch(f"coordinate base {c.base} does not match {p}")
@@ -245,17 +253,14 @@ class PointSet:
         import numpy as np
 
         digits = tuple(self.digits)
-        if len(digits) != self.bases.dimension:
-            raise DimensionMismatch(
-                f"{len(digits)} digit matrices for {self.bases.dimension} bases"
-            )
+        _require_dimension("point set", len(digits), self.bases)
         for m, p in zip(digits, self.bases.primes):
             if m.dtype != np.int64 or m.ndim != 2 or m.shape[1] < 1:
-                raise ValueError("digit matrices must be 2-d int64 with a column")
+                raise DiaphonyError("digit matrices must be 2-d int64 with a column")
             if m.shape[0] != digits[0].shape[0] or m.shape[0] < 1:
-                raise ValueError("digit matrices must share a positive row count")
+                raise DiaphonyError("digit matrices must share a positive row count")
             if m.min() < 0 or m.max() >= p:
-                raise ValueError(f"digit out of range for base {p}")
+                raise DiaphonyError(f"digit out of range for base {p}")
         object.__setattr__(self, "digits", digits)
 
     def __len__(self) -> int:
@@ -295,7 +300,7 @@ class IndexVector:
         if not indices:
             raise DimensionMismatch("an index vector needs at least one entry")
         if min(indices) < 0:
-            raise ValueError(f"index {min(indices)} must be a nonnegative integer")
+            raise DiaphonyError(f"index {min(indices)} must be a nonnegative integer")
         object.__setattr__(self, "indices", indices)
 
     @property
@@ -312,10 +317,10 @@ def monna(n: int, p: int) -> DigitVector:
 
     n = sum_r z_r p**r maps to the coordinate sum_r z_r p**(-r-1).
     """
-    _require_prime(p)
+    p = _require_prime(p)
     n = _as_int(n, "index")
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DiaphonyError("n must be nonnegative")
     digits = []
     while n:
         n, r = divmod(n, p)
@@ -331,9 +336,10 @@ def monna_inverse(x: DigitVector) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def default_depth(p: int) -> int:
     """Smallest m with p**m >= 2**53, capturing a double's full mantissa."""
+    p = _require_prime(p)
     m, q = 1, p
     while q < 2**53:
         q *= p
@@ -351,11 +357,10 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
     (den a power of two) through ``as_integer_ratio``, other inputs through
     ``Fraction``.
     """
-    _require_prime(p)
-    if depth is None:
-        depth = default_depth(p)
+    p = _require_prime(p)
+    depth = default_depth(p) if depth is None else _as_int(depth, "depth")
     if depth < 1:
-        raise ValueError("depth must be at least 1")
+        raise DiaphonyError("depth must be at least 1")
     if isinstance(x, float):
         if not 0 <= x < 1:  # false for nan too
             raise OutOfUnitInterval(x)
@@ -363,7 +368,7 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
     else:
         try:
             q = Fraction(x)
-        except (ValueError, OverflowError) as exc:  # nan / inf
+        except (TypeError, ValueError, OverflowError) as exc:  # nan / inf / None
             raise OutOfUnitInterval(x) from exc
         if not 0 <= q < 1:
             raise OutOfUnitInterval(x)
@@ -406,10 +411,7 @@ def char_phase_total(
     k: IndexVector, x: Point, bases: PrimeBases, phase_fn=padic_phase
 ) -> Fraction:
     """Exact total phase of the s-dimensional character: coordinate phases mod 1."""
-    if k.dimension != bases.dimension:
-        raise DimensionMismatch(
-            f"index dimension {k.dimension} != bases dimension {bases.dimension}"
-        )
+    _require_dimension("index", k.dimension, bases)
     _point_list((x,), bases)
     phases = (phase_fn(ki, xi) for ki, xi in zip(k.indices, x.coords))
     return sum(phases, Fraction(0)) % 1
@@ -426,8 +428,5 @@ def point_from_values(values, bases: PrimeBases) -> Point:
     """Ingest real coordinates into an exact Point, one expansion per base,
     truncated at the base's ``default_depth``."""
     vals = list(values)
-    if len(vals) != bases.dimension:
-        raise DimensionMismatch(
-            f"{len(vals)} coordinates for {bases.dimension} bases"
-        )
+    _require_dimension("value", len(vals), bases)
     return Point(tuple(float_to_digits(v, p) for v, p in zip(vals, bases.primes)))

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NonPrimeBase
-from .padic import IndexVector, PrimeBases, _as_int, is_prime
+from .errors import DiaphonyError, DimensionMismatch
+from .padic import IndexVector, PrimeBases, _as_int, _require_dimension, _require_prime
 
 __all__ = [
     "TruncationBox",
@@ -29,7 +29,7 @@ class TruncationBox:
             raise DimensionMismatch("a truncation box needs at least one entry")
         for g in exponents:
             if g < 1:
-                raise ValueError(f"box exponent {g} must be a positive integer")
+                raise DiaphonyError(f"box exponent {g} must be a positive integer")
         object.__setattr__(self, "exponents", exponents)
 
     @property
@@ -43,10 +43,10 @@ def block_weight(k: int, p: int) -> Fraction:
     The block exponent t is found by repeated integer division, never by a
     floating-point logarithm, so block boundaries are exact.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise NonPrimeBase(p)
+    p = _require_prime(p)
+    k = _as_int(k, "index")
     if k < 0:
-        raise ValueError("index must be nonnegative")
+        raise DiaphonyError("index must be nonnegative")
     if k == 0:
         return Fraction(1)
     t = 0
@@ -58,10 +58,7 @@ def block_weight(k: int, p: int) -> Fraction:
 
 def block_weight_product(k: IndexVector, bases: PrimeBases) -> Fraction:
     """Product of per-coordinate weights."""
-    if k.dimension != bases.dimension:
-        raise DimensionMismatch(
-            f"index dimension {k.dimension} != bases dimension {bases.dimension}"
-        )
+    _require_dimension("index", k.dimension, bases)
     out = Fraction(1)
     for ki, p in zip(k.indices, bases.primes):
         out *= block_weight(ki, p)
@@ -78,10 +75,7 @@ def weight_mass(bases: PrimeBases) -> int:
 
 def truncated_weight_mass(bases: PrimeBases, box: TruncationBox) -> Fraction:
     """Weight inside the box: prod_i (p_i + 1 - p_i**(1 - g_i)), exactly."""
-    if box.dimension != bases.dimension:
-        raise DimensionMismatch(
-            f"box dimension {box.dimension} != bases dimension {bases.dimension}"
-        )
+    _require_dimension("box", box.dimension, bases)
     out = Fraction(1)
     for p, g in zip(bases.primes, box.exponents):
         out *= p + 1 - Fraction(p, p**g)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -400,10 +401,14 @@ def test_no_invocation_exits_1_without_a_violation(capsys, argv, status, rows):
         assert len(out.splitlines()) == rows + 1
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _python_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return env
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=_python_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -523,3 +528,37 @@ def test_emit_does_not_hold_the_whole_text(fmt, monkeypatch):
         tracemalloc.stop()
     assert sink.chars > 2**14 * 40
     assert peak < sink.chars / 2
+
+
+def test_halton_rows_are_streamed(monkeypatch):
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["halton", "--bases", "2", "--count", str(2**14)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 2**14 * 20
+    assert peak < sink.chars / 2
+
+
+def test_console_script_ends_quietly_when_the_reader_goes_away():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "padiaphony", "sweep", "--bases", "2", "--from", "1",
+         "--to", "200000"],
+        cwd=ROOT, env=_python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "N,F,F2,bound_F2,ratio\n"
+        assert proc.stdout.readline().startswith("1,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""
+    assert status == -signal.SIGPIPE  # the shell reports 141

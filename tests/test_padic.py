@@ -270,7 +270,7 @@ def test_float_to_digits_equals_the_digit_loop(x, p, depth):
 @pytest.mark.parametrize(
     "bad",
     [-0.25, -5e-324, 1.0, 1.5, float("nan"), float("inf"), float("-inf"),
-     Fraction(-1, 3), Fraction(1), 1, -1, Decimal("NaN"), Decimal("Infinity")],
+     Fraction(-1, 3), Fraction(1), 1, -1, Decimal("NaN"), Decimal("Infinity"), None],
 )
 def test_float_to_digits_rejects_every_kind_of_input_outside_the_interval(bad):
     with pytest.raises(OutOfUnitInterval):
