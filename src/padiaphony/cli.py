@@ -1,7 +1,10 @@
 """Command-line front end: point generation, diaphony computation, bound
 evaluation, truncation sweeps, and Weyl-sum verification, as CSV or JSON.
+Both formats are written one row at a time, so memory does not grow with
+the row count and no command caps its rows.
 
-Exit status: 0 success, 1 property violation, 2 usage error, 3 resource cap.
+Exit status: 0 success, 1 property violation, 2 usage error, 3 resource cap
+(the library's ``BoxTooLarge`` or ``SegmentTooLarge``).
 The console script ends at once, by SIGPIPE, when the reader of its output
 goes away (a shell reports 141, as for any program so ended).
 """
@@ -31,19 +34,13 @@ __all__ = ["main", "entry"]
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-# A CSV sweep holds one chunk of _SWEEP_CHUNK reports at a time, so its
-# memory does not grow with the row count; JSON still lists every row dict
-# first, about 0.35 KB a row, so the cap keeps a JSON sweep near 0.4 GB.
-_MAX_SWEEP_ROWS = 2**20
+# A sweep holds one chunk of _SWEEP_CHUNK reports at a time, so its memory
+# does not grow with the row count.
 _SWEEP_CHUNK = 4096
 
 
 class _UsageError(DiaphonyError):
     """Bad flags; rendered to stderr with exit status 2."""
-
-
-class _TooManyRows(DiaphonyError):
-    """A sweep past _MAX_SWEEP_ROWS; exit status 3, like the library's caps."""
 
 
 def _fmt(value) -> str:
@@ -91,27 +88,28 @@ def _parse_box(args) -> TruncationBox | None:
         raise _UsageError(f"--g: {exc}") from None
 
 
-def _emit(args, header: list[str], rows: Iterable[dict], **flags) -> None:
+def _emit(args, rows: Iterable[dict], **flags) -> None:
     """Write the rows as CSV, or as JSON after a ``config`` echo of the
     command, its bases, its own ``flags``, the format and the output."""
     if not args.out:
-        _write_rows(sys.stdout, args, header, rows, flags)
+        _write_rows(sys.stdout, args, rows, flags)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_rows(fh, args, header, rows, flags)
+            _write_rows(fh, args, rows, flags)
     except OSError as exc:
         raise _UsageError(f"--out: {exc}") from None
 
 
-def _write_rows(out, args, header: list[str], rows: Iterable[dict], flags: dict) -> None:
-    """Stream the output to ``out`` a line or a JSON chunk at a time, so
-    the whole text is never held in memory; CSV rows are also formatted one
-    at a time, while JSON lists them first."""
+def _write_rows(out, args, rows: Iterable[dict], flags: dict) -> None:
+    """Write the rows to ``out`` one at a time, so neither the rows nor the
+    text are ever held whole.  The CSV header is the first row's keys; the
+    JSON text is the one ``json.dump(..., indent=2)`` gives."""
     if args.format == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join([_fmt(row[h]) for h in header]) + "\n")
+        for i, row in enumerate(rows):
+            if not i:
+                out.write(",".join(row) + "\n")
+            out.write(",".join([_fmt(v) for v in row.values()]) + "\n")
         return
     import json  # only here: a CSV run never loads it
 
@@ -122,8 +120,11 @@ def _write_rows(out, args, header: list[str], rows: Iterable[dict], flags: dict)
         "format": args.format,
         "output": args.out,
     }
-    json.dump({"config": config, "rows": list(rows)}, out, indent=2)
-    out.write("\n")
+    # the rows array is the last value, so its "" sentinel is the last ""
+    head, _, tail = json.dumps({"config": config, "rows": [""]}, indent=2).rpartition('""')
+    for i, row in enumerate(rows):
+        out.write((",\n    " if i else head) + json.dumps(row, indent=2).replace("\n", "\n    "))
+    out.write(tail + "\n")
 
 
 def _frac_str(value) -> str:
@@ -131,9 +132,6 @@ def _frac_str(value) -> str:
 
 
 def cmd_halton(args) -> int:
-    header = ["n"]
-    for i in range(1, args.bases.dimension + 1):
-        header += [f"x{i}", f"x{i}_dec"]
     points = halton_stream(args.count, args.bases, args.start)  # checked before any row
 
     def rows():
@@ -145,7 +143,7 @@ def cmd_halton(args) -> int:
                 row[f"x{i}_dec"] = float(v)
             yield row
 
-    _emit(args, header, rows(), count=args.count, start=args.start)
+    _emit(args, rows(), count=args.count, start=args.start)
     return 0
 
 
@@ -164,11 +162,9 @@ def cmd_diaphony(args) -> int:
         "F2": report.f_squared,
         "e": worst_case_error(report, args.bases),
     }
-    header = ["N", "F", "F2", "e"]
     if report.enclosure is not None:
         row["lower"], row["upper"] = report.enclosure
-        header += ["lower", "upper"]
-    _emit(args, header, [row], count=args.count, method=args.method,
+    _emit(args, [row], count=args.count, method=args.method,
           box=args.box and list(args.box.exponents), start=args.start)
     return 0
 
@@ -182,7 +178,7 @@ def cmd_bound(args) -> int:
         "bound_F2": report.bound_f_squared,
         "bound_F": report.bound_f_squared**0.5,
     }
-    _emit(args, ["N", "c", "d", "bound_F2", "bound_F"], [row], count=args.count)
+    _emit(args, [row], count=args.count)
     return 0
 
 
@@ -207,17 +203,13 @@ def cmd_sweep(args) -> int:
             ) from None
         if stride < 1:
             raise _UsageError("--step must be a positive integer")
-        n_rows = (hi - lo) // stride + 1  # len(range(...)) overflows past sys.maxsize
-        if n_rows > _MAX_SWEEP_ROWS:
-            raise _TooManyRows(
-                f"--from/--to/--step give {n_rows} rows, more than the cap {_MAX_SWEEP_ROWS}"
-            )
         sizes = range(lo, hi + 1, stride)
     _check_segment(sizes[-1], args.start)  # the whole segment, before the first byte
 
-    def rows():
-        for i in range(0, len(sizes), _SWEEP_CHUNK):
-            chunk = sizes[i : i + _SWEEP_CHUNK]
+    def rows():  # no len(sizes): it overflows past sys.maxsize rows
+        i = 0
+        while chunk := sizes[i : i + _SWEEP_CHUNK]:
+            i += _SWEEP_CHUNK
             for n, report in zip(chunk, halton_diaphony_prefixes(args.bases, chunk, args.start)):
                 bound = halton_diaphony_bound(args.bases, n).bound_f_squared
                 yield {
@@ -228,8 +220,7 @@ def cmd_sweep(args) -> int:
                     "ratio": report.f_squared / bound,
                 }
 
-    _emit(args, ["N", "F", "F2", "bound_F2", "ratio"], rows(),
-          **{"from": lo, "to": hi, "step": step, "start": args.start})
+    _emit(args, rows(), **{"from": lo, "to": hi, "step": step, "start": args.start})
     return 0
 
 
@@ -241,8 +232,7 @@ def cmd_verify_lemma(args) -> int:
         "worst_index": ";".join(str(k) for k in report.worst_index.indices),
         "violations": report.violations,
     }
-    _emit(args, ["N", "worst_ratio", "worst_index", "violations"], [row],
-          count=args.count, box=list(args.box.exponents))
+    _emit(args, [row], count=args.count, box=list(args.box.exponents))
     return 0 if report.violations == 0 else 1
 
 
@@ -297,7 +287,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except DiaphonyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, (BoxTooLarge, SegmentTooLarge, _TooManyRows)) else 2
+        return 3 if isinstance(exc, (BoxTooLarge, SegmentTooLarge)) else 2
 
 
 def entry() -> None:

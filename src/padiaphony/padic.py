@@ -57,9 +57,12 @@ __all__ = [
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Digit matrices are int64, so a base must be below 2**63.
 _MAX_BASE = 2**63 - 1
+# Entries kept by the per-base caches: bases repeat, so a few suffice, and
+# a bound keeps many distinct calls from growing the cache without limit.
+_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 7.0 must not hit the entry for 7
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)  # typed: 7.0 must not hit the entry for 7
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test over _WITNESSES; cached
     because bases repeat heavily."""
@@ -123,14 +126,14 @@ class DigitVector:
 
     def __post_init__(self):
         base = _require_prime(self.base)
-        digits = tuple(_as_int(d, "digit") for d in self.digits)
+        digits = [_as_int(d, "digit") for d in self.digits]
         while digits and digits[-1] == 0:
-            digits = digits[:-1]
+            digits.pop()
         for d in digits:
             if not 0 <= d < base:
                 raise DiaphonyError(f"digit {d!r} out of range for base {base}")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "digits", tuple(digits))
 
     @classmethod
     def _trusted(cls, base: int, digits: list[int]) -> DigitVector:
@@ -336,7 +339,7 @@ def monna_inverse(x: DigitVector) -> int:
     return n
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def default_depth(p: int) -> int:
     """Smallest m with p**m >= 2**53, capturing a double's full mantissa."""
     p = _require_prime(p)
@@ -350,29 +353,29 @@ def default_depth(p: int) -> int:
 def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
     """Truncating base-p expansion of a real x in [0, 1): d_j = floor(x*p**j) mod p.
 
-    x may be a float (converted exactly, no decimal reinterpretation) or a
-    Fraction/int.  Truncation is toward zero, never rounded, so the result is
-    deterministic in the input bits.  The digits are peeled off the one
-    integer floor(x * p**depth); a float gives its exact ratio num / den
-    (den a power of two) through ``as_integer_ratio``, other inputs through
-    ``Fraction``.
+    x may be a float of any width, Python or numpy, or a ``Decimal``
+    (converted exactly, no decimal reinterpretation), or a Fraction/int.
+    Truncation is toward zero, never rounded, so the result is deterministic
+    in the input bits.  The digits are peeled off the one integer
+    floor(x * p**depth); x gives its exact ratio num / den through its own
+    ``as_integer_ratio`` where it has one, other inputs (numpy integers, for
+    one) through ``Fraction``.
     """
     p = _require_prime(p)
     depth = default_depth(p) if depth is None else _as_int(depth, "depth")
     if depth < 1:
         raise DiaphonyError("depth must be at least 1")
-    if isinstance(x, float):
+    if isinstance(x, float):  # the common case, checked on the float itself
         if not 0 <= x < 1:  # false for nan too
             raise OutOfUnitInterval(x)
         num, den = x.as_integer_ratio()
     else:
         try:
-            q = Fraction(x)
+            num, den = (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
         except (TypeError, ValueError, OverflowError) as exc:  # nan / inf / None
             raise OutOfUnitInterval(x) from exc
-        if not 0 <= q < 1:
+        if not 0 <= num < den:
             raise OutOfUnitInterval(x)
-        num, den = q.numerator, q.denominator
     scaled = num * p**depth // den
     digits = [0] * depth
     for j in range(depth - 1, -1, -1):

@@ -384,10 +384,8 @@ MAX = str(2**63 - 1)
         (("frobnicate",), 2, 0),
         ((), 2, 0),
         (("halton", "--count", "1"), 2, 0),
-        # more rows than the sweep cap, refused before any size list is built
-        (("sweep", "--bases", "2", "--from", "1", "--to", str(10**12), "--step", "1"), 3, 0),
-        (("sweep", "--bases", "2", "--from", "1", "--to", str(2**20 + 1)), 3, 0),
-        (("sweep", "--bases", "2", "--from", "1", "--to", str(10**30), "--step", "3"), 3, 0),
+        # a stepped range past the index space, refused before any size list is built
+        (("sweep", "--bases", "2", "--from", "1", "--to", str(10**30), "--step", "3"), 2, 0),
     ],
 )
 def test_no_invocation_exits_1_without_a_violation(capsys, argv, status, rows):
@@ -479,20 +477,22 @@ def test_csv_runs_load_neither_logging_nor_json():
 def test_streamed_output_equals_the_joined_text(capsys, monkeypatch):
     seen = []
 
-    def spy(args, header, rows, **flags):
+    def spy(args, rows, **flags):
         # sweep rows arrive as a generator: keep a copy, emit them streamed
         rows = list(rows)
-        seen.append((args, header, rows, flags))
-        _emit(args, header, iter(rows), **flags)
+        seen.append((args, rows, flags))
+        _emit(args, iter(rows), **flags)
 
     monkeypatch.setattr(padiaphony.cli, "_emit", spy)
     for fmt in ("csv", "json"):
-        code, out, _ = run(capsys, "sweep", "--bases", "2", "--from", "1", "--to", "4096",
+        # past one 4096-size chunk, so the rows cross a chunk seam
+        code, out, _ = run(capsys, "sweep", "--bases", "2", "--from", "1", "--to", "5000",
                            "--format", fmt)
         assert code == 0
-        args, header, rows, flags = seen.pop()
-        assert len(rows) == 4096
+        args, rows, flags = seen.pop()
+        assert len(rows) == 5000
         if fmt == "csv":
+            header = ["N", "F", "F2", "bound_F2", "ratio"]
             lines = [",".join(header)]
             lines += [",".join(padiaphony.cli._fmt(row[h]) for h in header) for row in rows]
             text = "\n".join(lines) + "\n"
@@ -515,14 +515,14 @@ class _CountingSink:
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_does_not_hold_the_whole_text(fmt, monkeypatch):
     args = Namespace(command="sweep", bases=validate_bases([2]), format=fmt, out=None)
-    header = ["N", "F", "F2", "bound_F2", "ratio"]
-    rows = [{"N": n, "F": 1 / n, "F2": 1 / n**2, "bound_F2": 3 / n, "ratio": n / 3}
-            for n in range(1, 2**14 + 1)]
+    # a generator, as the commands pass their rows
+    rows = ({"N": n, "F": 1 / n, "F2": 1 / n**2, "bound_F2": 3 / n, "ratio": n / 3}
+            for n in range(1, 2**14 + 1))
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        _emit(args, header, rows, step="1")
+        _emit(args, rows, step="1")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -530,12 +530,13 @@ def test_emit_does_not_hold_the_whole_text(fmt, monkeypatch):
     assert peak < sink.chars / 2
 
 
-def test_halton_rows_are_streamed(monkeypatch):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_halton_rows_are_streamed(fmt, monkeypatch):
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = main(["halton", "--bases", "2", "--count", str(2**14)])
+        code = main(["halton", "--bases", "2", "--count", str(2**14), "--format", fmt])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,20 +546,26 @@ def test_halton_rows_are_streamed(monkeypatch):
 
 
 def test_console_script_ends_quietly_when_the_reader_goes_away():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "padiaphony", "sweep", "--bases", "2", "--from", "1",
-         "--to", "200000"],
-        cwd=ROOT, env=_python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        assert proc.stdout.readline() == "N,F,F2,bound_F2,ratio\n"
-        assert proc.stdout.readline().startswith("1,")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        status = proc.wait(timeout=120)
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stderr.close()
-    assert err == ""
-    assert status == -signal.SIGPIPE  # the shell reports 141
+    for argv, first_lines in [
+        (("sweep", "--bases", "2", "--from", "1", "--to", "200000"),
+         ("N,F,F2,bound_F2,ratio\n", "1,")),
+        # 2**63 rows, the whole index space, streamed as JSON with no row cap
+        (("sweep", "--bases", "2,3", "--from", "1", "--to", str(2**63), "--format", "json"),
+         ("{\n", '  "config": {\n')),
+    ]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "padiaphony", *argv], cwd=ROOT, env=_python_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert proc.stdout.readline() == first_lines[0]
+            assert proc.stdout.readline().startswith(first_lines[1])
+            proc.stdout.close()
+            err = proc.stderr.read()
+            status = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == "", argv
+        assert status == -signal.SIGPIPE, argv  # the shell reports 141

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -47,6 +48,13 @@ def test_digit_vector_trims_trailing_zeros():
     dv = DigitVector(2, (1, 0, 1, 0, 0))
     assert dv.digits == (1, 0, 1)
     assert DigitVector(3, (0, 0)).digits == ()
+
+
+def test_digit_vector_trims_a_long_zero_tail_at_once():
+    start = time.perf_counter()
+    dv = DigitVector(2, (1,) + (0,) * 10**5)
+    assert time.perf_counter() - start < 2
+    assert dv == DigitVector(2, (1,))
 
 
 def test_digit_vector_rejects_bad_digits_and_bases():
@@ -154,6 +162,18 @@ def test_bases_of_2_pow_63_or_more_are_rejected_before_the_primality_test():
     with pytest.raises(NonPrimeBase):
         PrimeBases((2**63 - 1,))  # 7**2 * 73 * 127 * 337 * 92737 * 649657
     assert PrimeBases((2**63 - 25,)).primes == (2**63 - 25,)
+
+
+def test_per_base_caches_stay_bounded():
+    bound = is_prime.cache_info().maxsize
+    assert bound is not None
+    primes = [n for n in range(2, 40 * bound) if is_prime(n)]
+    assert len(primes) > bound
+    for p in primes:
+        default_depth(p)
+    for cached in (is_prime, default_depth):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_monna_inverse_examples():
@@ -279,6 +299,27 @@ def test_float_to_digits_rejects_every_kind_of_input_outside_the_interval(bad):
         float_to_digits(bad, 9)
     with pytest.raises(ValueError, match="depth"):
         float_to_digits(bad, 2, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble],
+                         ids=lambda t: t.__name__)
+def test_float_to_digits_reads_every_float_width_exactly(dtype):
+    largest = np.nextafter(dtype(1), dtype(0))
+    for x in (dtype(0), dtype(0.3), dtype(0.5), dtype(0.7), largest):
+        exact = Fraction(*x.as_integer_ratio())
+        for p in (2, 3, 65537):
+            assert float_to_digits(x, p) == float_to_digits(exact, p)
+    for bad in (np.nan, np.inf, 1.0, -0.5):
+        with pytest.raises(OutOfUnitInterval):
+            float_to_digits(dtype(bad), 2)
+    bases = PrimeBases((2, 3))
+    row = np.array([0.3, 0.7], dtype=dtype)
+    exact_row = [Fraction(*v.as_integer_ratio()) for v in row]
+    assert point_from_values(row, bases) == point_from_values(exact_row, bases)
+
+
+def test_float_to_digits_reads_a_decimal_exactly():
+    assert float_to_digits(Decimal("0.1"), 3) == float_to_digits(Fraction(1, 10), 3)
 
 
 # --- p-adic characters
