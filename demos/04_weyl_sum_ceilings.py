@@ -30,13 +30,14 @@ for idx in [(1, 0), (0, 1), (1, 1), (2, 1), (5, 7), (12, 25)]:
     observed = abs(weyl_sum(points, k, bases))
     print(f"{str(idx):>8}  {str(ceiling):>10}  {observed:10.4f}")
 
-print("\nScanning every nonzero k with k1 < 16, k2 < 27 at five N up to 128:")
+print("\nScanning every nonzero k with k1 < 16, k2 < 27 at five N up to 128")
+print("and at N = 2**62 and 2**63 - 1, the end of the 64-bit index space:")
 worst = 0.0
-for n in (1, 2, 8, 32, 128):
+for n in (1, 2, 8, 32, 128, 2**62, 2**63 - 1):
     report = verify_weyl_bound(n, bases, TruncationBox((4, 3)))
     worst = max(worst, report.worst_ratio)
     print(
-        f"  N = {n:>3}: worst ratio {report.worst_ratio:.4f} "
+        f"  N = {n:>19}: worst ratio {report.worst_ratio:.4f} "
         f"at k = {report.worst_index.indices}, violations = {report.violations}"
     )
 print(f"\nNo ratio passes 1/2, half the ceiling (worst seen: {worst:.4f}).")

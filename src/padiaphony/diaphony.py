@@ -23,6 +23,7 @@ import math
 import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -540,8 +541,7 @@ def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox) -> np.ndarr
             [E[lead + (slice(None, None, p**v),)].sum(axis=axis) for v in reversed(range(g))],
             axis=axis,
         )
-    n = len(ps)
-    return E / (n * n) / float(weight_mass(bases) - 1)
+    return E / len(ps) ** 2 / float(weight_mass(bases) - 1)
 
 
 def truncated_spectral_sum(
@@ -583,17 +583,10 @@ def diaphony_spectral(
     """
     ps = PointSet.from_points(points, bases)
     lower = truncated_spectral_sum(ps, bases, box)
-    tail = spectral_tail(bases, box)
-    upper = lower + float(tail)
-    f_squared = lower + float(tail) / 2
-    return DiaphonyReport(
-        len(ps),
-        math.sqrt(f_squared),
-        f_squared,
-        "spectral",
-        enclosure=(lower, upper),
-        box=box,
-    )
+    tail = float(spectral_tail(bases, box))
+    f_squared = lower + tail / 2
+    return DiaphonyReport(len(ps), math.sqrt(f_squared), f_squared, "spectral",
+                          enclosure=(lower, lower + tail), box=box)
 
 
 def enclosure_grid(
@@ -627,8 +620,17 @@ def enclosure_grid(
 
 
 def worst_case_error(report: DiaphonyReport, bases: PrimeBases) -> float:
-    """Worst-case equal-weight integration error: sqrt(sigma - 1) * F."""
-    return math.sqrt(weight_mass(bases) - 1) * report.f
+    """Worst-case equal-weight integration error: sqrt(sigma - 1) * F.
+
+    Where sigma - 1 passes the float range the root is taken in
+    ``Decimal``; a value that no float holds raises DiaphonyError."""
+    try:
+        return math.sqrt(weight_mass(bases) - 1) * report.f
+    except OverflowError:
+        error = float(Decimal(weight_mass(bases) - 1).sqrt() * Decimal(report.f))
+        if error < math.inf:
+            return error
+    raise DiaphonyError("the worst-case error exceeds the float range")
 
 
 def halton_diaphony_bound(bases: PrimeBases, n_points: int) -> BoundReport:
@@ -637,6 +639,10 @@ def halton_diaphony_bound(bases: PrimeBases, n_points: int) -> BoundReport:
     bound = c * (ln N)**s / N**2 + d / N**2 with
     c = (1/(sigma - 1)) * (pi**2/3) * prod_j (1 + 2 p_j**2 / ln p_j) and
     d = 2 s max_i p_i, for N <= 2**63.  Natural logarithms throughout.
+    The factors of the product stay below 2**123, but their product,
+    sigma and c * (ln N)**s can pass the float range for large bases;
+    there c and the bound are evaluated from the same factors in
+    ``Decimal``, and a value that no float holds raises DiaphonyError.
     """
     bases.require_distinct()
     n_points = _as_int(n_points, "n_points")
@@ -646,13 +652,18 @@ def halton_diaphony_bound(bases: PrimeBases, n_points: int) -> BoundReport:
         raise CountOverflow("n_points exceeds 2**63, the supported 64-bit index space")
     sig = weight_mass(bases)
     s = bases.dimension
-    prod = 1.0
-    for p in bases.primes:
-        prod *= 1.0 + 2.0 * p * p / math.log(p)
-    c = (math.pi**2 / 3.0) * prod / (sig - 1)
+    factors = [1.0 + 2.0 * p * p / math.log(p) for p in bases.primes]
     d = float(2 * s * max(bases.primes))
-    bound = (c * math.log(n_points) ** s + d) / n_points**2
-    return BoundReport(c, d, bound)
+    for num in (float, Decimal):  # Decimal only where a float step overflows
+        try:
+            c = num(math.pi) ** 2 / 3 * math.prod(map(num, factors)) / (sig - 1)
+            bound = (c * num(math.log(n_points)) ** s + num(d)) / n_points**2
+        except ArithmeticError:
+            continue
+        report = BoundReport(float(c), d, float(bound))
+        if math.isfinite(report.c) and math.isfinite(report.bound_f_squared):
+            return report
+    raise DiaphonyError("the bound's constants exceed the float range")
 
 
 def distance_to_nearest_integer(q: Fraction) -> Fraction:
@@ -692,7 +703,13 @@ def verify_weyl_bound(
 ) -> WeylCheckReport:
     """Check |weyl_sum(k)| <= its ceiling for every nonzero k in the box.
 
-    The Halton prefix is generated internally.  Each index records the ratio
+    The check builds (N - 1) mod B + 1 Halton points, B = prod p**g, so at
+    most one period for any N up to 2**63.  Index n lies in grid cell
+    (n mod p_i**g_i)_i, which by CRT depends only on n mod B, and B
+    consecutive indices fill every cell once.  So N = qB + r points,
+    1 <= r <= B, have the histogram of the first r points plus q in every
+    cell, and a constant moves the transform only at k = 0, which has no
+    ceiling.  Each index records the ratio
     |S(k)| * ||sum_j phi(k_j)||; ratios above 1 + RATIO_TOLERANCE count as
     violations.  The reported worst index is the first in C order whose
     ratio is within a relative 1e-9 of the largest, so an exact tie does not
@@ -708,21 +725,16 @@ def verify_weyl_bound(
 
     bases.require_distinct()
     _check_box(box, bases)
-    n_points = _as_int(n_points, "n_points")
-    if n_points < 1:
-        raise DiaphonyError("n_points must be at least 1")
-    S = _histogram(halton_set(n_points, bases), bases, box, complex)
+    n_points, _ = _check_segment(n_points, 0)
+    B = math.prod(p**g for p, g in zip(bases.primes, box.exponents))
+    S = _histogram(halton_set((n_points - 1) % B + 1, bases), bases, box, complex)
     np.fft.ifftn(S, norm="forward", out=S)
     ratio = np.abs(S)
     del S
-    B = ratio.size
     num = sum(np.ix_(*(np.arange(P) * (B // P) for P in ratio.shape))) % B
     np.minimum(num, B - num, out=num)
     ratio *= num / B
     ratio.flat[0] = -1.0  # the origin has no ceiling
-    return WeylCheckReport(
-        box,
-        float(ratio.max()),
-        IndexVector(_first_near_max(_digit_reversed(ratio, bases, box))),
-        int((ratio > 1.0 + RATIO_TOLERANCE).sum()),
-    )
+    worst_index = IndexVector(_first_near_max(_digit_reversed(ratio, bases, box)))
+    violations = int((ratio > 1.0 + RATIO_TOLERANCE).sum())
+    return WeylCheckReport(box, float(ratio.max()), worst_index, violations)

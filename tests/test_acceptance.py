@@ -157,13 +157,15 @@ def test_criterion_5_weyl_ceiling_exhaustive():
     with criterion(5, "Weyl sums stay below their ceiling on full boxes"):
         # |S_N(k)| = |sin(pi N theta) / sin(pi theta)| <= 1 / (2 ||theta||),
         # so the ratio to the ceiling 1 / ||theta|| never passes 1/2
+        # and at the end of the 64-bit index space
+        ends = [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1]
         b2 = validate_bases([2])
-        for n in range(1, 257):
+        for n in [*range(1, 257), *ends]:
             rep = verify_weyl_bound(n, b2, TruncationBox((8,)))
             assert rep.violations == 0
             assert rep.worst_ratio <= 0.5 + RATIO_TOLERANCE
         b23 = validate_bases([2, 3])
-        for n in range(1, 129):
+        for n in [*range(1, 129), *ends]:
             rep = verify_weyl_bound(n, b23, TruncationBox((4, 3)))
             assert rep.violations == 0
             assert rep.worst_ratio <= 0.5 + RATIO_TOLERANCE

@@ -197,10 +197,9 @@ def test_verify_lemma_box_cap(capsys):
         ("diaphony", "--bases", "2", "--count", "1", "--method", "spectral",
          "--g", "1000000"),
         ("verify-lemma", "--bases", "2,3", "--count", "1", "--g", "1000000,1"),
-        # segments whose digit arrays would pass the cell cap
+        # a segment whose digit arrays would pass the cell cap
         ("diaphony", "--bases", "2", "--count", str(2**62), "--method", "spectral",
          "--g", "1"),
-        ("verify-lemma", "--bases", "2", "--count", str(2**62), "--g", "1"),
     ],
 )
 def test_huge_box_is_a_resource_cap_error(capsys, argv):
@@ -208,6 +207,41 @@ def test_huge_box_is_a_resource_cap_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "cap" in err
+
+
+@pytest.mark.parametrize("bases, g", [("2", "1"), ("2,3", "8,5")])
+def test_verify_lemma_checks_a_count_at_the_end_of_the_index_space(capsys, bases, g):
+    # the check builds one period of the prefix, at most prod p**g points
+    code, out, err = run(capsys, "verify-lemma", "--bases", bases, "--count", str(2**62),
+                         "--g", g)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[3] == "0"
+
+
+# the 17 largest primes below 2**61: sigma = prod (p + 1) is about 2**1037
+LARGE_PRIMES = (
+    "2305843009213693951,2305843009213693921,2305843009213693907,2305843009213693723,"
+    "2305843009213693693,2305843009213693669,2305843009213693613,2305843009213693561,"
+    "2305843009213693549,2305843009213693487,2305843009213693421,2305843009213693373,"
+    "2305843009213693277,2305843009213693193,2305843009213693153,2305843009213693133,"
+    "2305843009213693123"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--count", "2"),
+        ("bound", "--count", str(2**63)),
+        ("diaphony", "--count", "2"),
+        ("sweep", "--from", "1", "--to", "3"),
+    ],
+)
+def test_bases_past_the_float_range_of_sigma_exit_0(argv):
+    proc = _run_python("-m", "padiaphony", *argv, "--bases", LARGE_PRIMES)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and "inf" not in proc.stdout
 
 
 def test_spectral_box_is_checked_before_points_are_built(capsys, monkeypatch):

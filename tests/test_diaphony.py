@@ -16,6 +16,7 @@ from padiaphony import (
     BaseMismatch,
     BoxTooLarge,
     CountOverflow,
+    DiaphonyError,
     DiaphonyReport,
     DigitVector,
     DimensionMismatch,
@@ -39,6 +40,7 @@ from padiaphony import (
     halton_point,
     halton_set,
     halton_stream,
+    is_prime,
     kernel_value,
     monna,
     point_from_values,
@@ -971,6 +973,50 @@ def test_worst_case_error_examples():
     assert abs(worst_case_error(half, B23) - math.sqrt(11) / 2) < 1e-15
 
 
+# the 17 largest primes below 2**61: sigma = prod (p + 1) is about 2**1037,
+# past the largest float
+LARGE_PRIMES = (
+    2305843009213693951, 2305843009213693921, 2305843009213693907, 2305843009213693723,
+    2305843009213693693, 2305843009213693669, 2305843009213693613, 2305843009213693561,
+    2305843009213693549, 2305843009213693487, 2305843009213693421, 2305843009213693373,
+    2305843009213693277, 2305843009213693193, 2305843009213693153, 2305843009213693133,
+    2305843009213693123,
+)
+
+
+@pytest.mark.parametrize("dimension", [8, 9, 17])
+def test_bound_and_error_stay_finite_past_the_float_range_of_sigma(dimension):
+    bases = validate_bases(LARGE_PRIMES[:dimension])
+    sig = math.prod(p + 1 for p in bases.primes)
+    # ln c from the integer logarithms: no float product is formed
+    log_c = math.log(math.pi**2 / 3) - math.log(sig - 1) + sum(
+        math.log(2 * p * p + math.log(p)) - math.log(math.log(p)) for p in bases.primes
+    )
+    for n in (1, 2, 1000, MAX_INDEX + 1):
+        rep = halton_diaphony_bound(bases, n)
+        assert rep.d == float(2 * dimension * LARGE_PRIMES[0])
+        assert abs(math.log(rep.c) - log_c) <= 1e-13 * abs(log_c)
+        expected = (Fraction(rep.c) * Fraction(math.log(n)) ** dimension + Fraction(rep.d)) / n**2
+        assert abs(rep.bound_f_squared / expected - 1) <= 1e-12
+    report = halton_diaphony_prefixes(bases, [2])[0]
+    e = worst_case_error(report, bases)
+    assert abs(Fraction(e) ** 2 / ((sig - 1) * Fraction(report.f) ** 2) - 1) <= 1e-14
+
+
+def test_values_past_the_float_range_raise_a_diaphony_error():
+    # 34 large primes: c is about 1e579 and sqrt(sigma - 1) about 2**1037
+    primes, p = list(LARGE_PRIMES), LARGE_PRIMES[-1] - 2
+    while len(primes) < 34:
+        if is_prime(p):
+            primes.append(p)
+        p -= 2
+    bases = validate_bases(primes)
+    report = halton_diaphony_prefixes(bases, [2])[0]
+    for call in (lambda: halton_diaphony_bound(bases, 2), lambda: worst_case_error(report, bases)):
+        with pytest.raises(DiaphonyError, match="float range"):
+            call()
+
+
 def test_halton_bound_constants():
     rep = halton_diaphony_bound(B2, 1)
     assert rep.d == 4.0
@@ -1051,7 +1097,7 @@ def test_verify_weyl_bound_examples():
 def test_verify_weyl_bound_requires_distinct_bases():
     with pytest.raises(DuplicateBase):
         verify_weyl_bound(4, PrimeBases((3, 3)), TruncationBox((2, 2)))
-    with pytest.raises(ValueError, match="n_points 2.5 is not an integer"):
+    with pytest.raises(ValueError, match="count 2.5 is not an integer"):
         verify_weyl_bound(2.5, B23, TruncationBox((2, 2)))
     with pytest.raises(ValueError, match="at least 1"):
         verify_weyl_bound(0, B23, TruncationBox((2, 2)))
@@ -1091,16 +1137,34 @@ def _ceiling_check_oracle(n_points, bases, box):
         (256, (2, 3), (8, 5)),
         (60, (2, 3, 5), (3, 2, 2)),
         (7, (5, 7, 11), (1, 2, 1)),
+        # N = B and N > B: the check reads one period of the prefix
+        (64, (2,), (6,)),
+        (300, (2,), (6,)),
+        (1000, (2, 3), (2, 2)),
+        (869, (2, 3), (4, 3)),
     ],
 )
 def test_verify_weyl_bound_equals_fraction_loop(n_points, primes, exps):
     bases, box = validate_bases(primes), TruncationBox(exps)
     rep = verify_weyl_bound(n_points, bases, box)
-    assert (rep.worst_ratio, rep.worst_index.indices, rep.violations) == _ceiling_check_oracle(
-        n_points, bases, box
-    )
+    worst_ratio, worst_index, violations = _ceiling_check_oracle(n_points, bases, box)
+    assert (rep.worst_index.indices, rep.violations) == (worst_index, violations)
+    if n_points <= math.prod(p**g for p, g in zip(primes, exps)):
+        assert rep.worst_ratio == worst_ratio
+    else:  # the oracle transforms all N points, so the sums round apart
+        assert abs(rep.worst_ratio - worst_ratio) <= 1e-12 * worst_ratio
     if (n_points, primes) == (1, (3,)):
         assert rep.worst_index.indices == (4,)
+
+
+def test_verify_weyl_bound_reaches_the_end_of_the_index_space():
+    box = TruncationBox((4, 3))
+    rep = verify_weyl_bound(MAX_INDEX + 1, B23, box)
+    assert rep.violations == 0 and rep.worst_ratio <= 0.5 + RATIO_TOLERANCE
+    # N and N + B have equal nonzero Weyl sums
+    assert verify_weyl_bound(2**62 + 432, B23, box) == verify_weyl_bound(2**62, B23, box)
+    with pytest.raises(CountOverflow):
+        verify_weyl_bound(MAX_INDEX + 2, B23, box)
 
 
 def test_worst_index_does_not_follow_the_last_bit_of_a_tie():
