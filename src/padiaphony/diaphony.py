@@ -220,20 +220,33 @@ def _level_weight(p: int, depth: int, lo: int, hi: int) -> int:
     return (p + 1) * (p ** (depth + 1 - lo) - tail)
 
 
-def _agreement_table(head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rank of each row of ``head`` in lexicographic digit order, and a
-    range-minimum table over the shared-digit counts of rows adjacent in
-    that order, equal rows counting as sharing all ``depth`` digits.
+def _agreement_table(head: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank of each row of base-p digits ``head`` in lexicographic digit
+    order, and a range-minimum table over the shared-digit counts of rows
+    adjacent in that order, equal rows counting as sharing all ``depth``
+    digits.
 
-    Entry (k, j) is the least count over the 2**k adjacent pairs from rank
-    j on.  Two rows share as many digits as the least adjacent pair between
-    their ranks, so that count is the smaller of two table entries.  The
-    counts are found one digit column at a time over the pairs still equal.
+    The rows are sorted by int64 words of w digits each, most significant
+    first, with w the largest width for which p**w < 2**62 (61 digits for
+    base 2, 39 for base 3): comparing the words in order is comparing the
+    digits in order, so one ``lexsort`` over ceil(depth / w) keys ranks the
+    rows as one over every column would.  Entry (k, j) of the table is the
+    least count over the 2**k adjacent pairs from rank j on.  Two rows
+    share as many digits as the least adjacent pair between their ranks,
+    so that count is the smaller of two table entries.  The counts are
+    found one digit column at a time over the pairs still equal.
     """
     import numpy as np
 
     n, depth = head.shape
-    order = np.lexsort(head.T[::-1])
+    w = 1
+    while p ** (w + 1) < 1 << 62:
+        w += 1
+    words = [
+        head[:, j : j + w] @ p ** np.arange(min(w, depth - j) - 1, -1, -1)
+        for j in range(0, depth, w)
+    ]
+    order = np.lexsort(words[::-1])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     table = np.full(((n - 1).bit_length(), n - 1), depth, dtype=np.min_scalar_type(depth))
@@ -322,7 +335,15 @@ def _pair_sums(ps: PointSet, sizes: list[int]) -> list[int]:
     a range of levels is one cell of the next coordinate, with that range's
     summed level weight.  A cell's weight is a key into a list of exact
     integer products, so each distinct product is multiplied once.  At the
-    last coordinate a run of k points below n holds C(k, 2) pairs.
+    last coordinate a run of k points below n holds C(k, 2) pairs, and its
+    entries are never materialized.
+
+    The kernel is a product over coordinates, so any order gives the same
+    sum; the coordinates are visited largest base first, equal bases in
+    input order.  A point stays in about log_p N nested runs of a
+    coordinate, so about N prod_{i<j} log_{p_i} N entries enter coordinate
+    j, and base 2, the largest factor, is best kept for the last one.
+    Only the coordinates before the last are held to DIGIT_CELL_CAP.
     """
     import numpy as np
 
@@ -331,10 +352,12 @@ def _pair_sums(ps: PointSet, sizes: list[int]) -> list[int]:
     cell = np.zeros(need, dtype=np.int64)
     cell_key = np.zeros(1, dtype=np.int64)
     weights = [1]
-    for i, (p, digits) in enumerate(zip(ps.bases.primes, ps.digits)):
+    # largest base first; the sort is stable, so equal bases keep input order
+    coords = sorted(zip(ps.bases.primes, ps.digits), key=lambda c: -c[0])
+    for i, (p, digits) in enumerate(coords):
         head = digits[:need]
         depth = head.shape[1]
-        rank, table = _agreement_table(head)
+        rank, table = _agreement_table(head, p)
         order = np.argsort(cell * need + rank[point])
         point, cell = point[order], cell[order]
         s, e, lo, hi = _lcp_intervals(_adjacent_agreement(rank, table, point, cell))
@@ -348,7 +371,7 @@ def _pair_sums(ps: PointSet, sizes: list[int]) -> list[int]:
             weights[parent] * range_weight[r]
             for parent, r in (divmod(c, len(ranges)) for c in codes.tolist())
         ]
-        if i + 1 < len(ps.digits):
+        if i + 1 < len(coords):
             length = e - s + 1
             if length.sum() > DIGIT_CELL_CAP:
                 raise SegmentTooLarge(need, DIGIT_CELL_CAP)
@@ -383,9 +406,11 @@ def diaphony_kernel_prefixes(
     found once, over the longest prefix (see ``_pair_sums``): a pair
     m < m' enters every prefix longer than m', so a cell holding k points
     below n adds C(k, 2) pairs to prefix n, and each prefix length costs one
-    cumulative count over the last coordinate's cells.  Past
-    DIGIT_CELL_CAP live (cell, point) entries in one coordinate, as deep
-    near-duplicate clusters can reach, it raises SegmentTooLarge.
+    cumulative count over the last coordinate's cells.  The coordinates
+    are visited largest base first, and the last is counted without
+    materializing its entries.  Past DIGIT_CELL_CAP live (cell, point)
+    entries in a coordinate before the last, as deep near-duplicate
+    clusters can reach, it raises SegmentTooLarge.
     """
     ps = PointSet.from_points(points, bases)
     sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
@@ -703,13 +728,14 @@ def verify_weyl_bound(
 ) -> WeylCheckReport:
     """Check |weyl_sum(k)| <= its ceiling for every nonzero k in the box.
 
-    The check builds (N - 1) mod B + 1 Halton points, B = prod p**g, so at
-    most one period for any N up to 2**63.  Index n lies in grid cell
+    The check builds N mod B Halton points, B = prod p**g, so less than one
+    period for any N up to 2**63.  Index n lies in grid cell
     (n mod p_i**g_i)_i, which by CRT depends only on n mod B, and B
     consecutive indices fill every cell once.  So N = qB + r points,
-    1 <= r <= B, have the histogram of the first r points plus q in every
+    0 <= r < B, have the histogram of the first r points plus q in every
     cell, and a constant moves the transform only at k = 0, which has no
-    ceiling.  Each index records the ratio
+    ceiling.  Where B divides N, every nonzero Weyl sum is exactly 0, and
+    no point is built.  Each index records the ratio
     |S(k)| * ||sum_j phi(k_j)||; ratios above 1 + RATIO_TOLERANCE count as
     violations.  The reported worst index is the first in C order whose
     ratio is within a relative 1e-9 of the largest, so an exact tie does not
@@ -726,11 +752,15 @@ def verify_weyl_bound(
     bases.require_distinct()
     _check_box(box, bases)
     n_points, _ = _check_segment(n_points, 0)
-    B = math.prod(p**g for p, g in zip(bases.primes, box.exponents))
-    S = _histogram(halton_set((n_points - 1) % B + 1, bases), bases, box, complex)
-    np.fft.ifftn(S, norm="forward", out=S)
-    ratio = np.abs(S)
-    del S
+    sizes = [p**g for p, g in zip(bases.primes, box.exponents)]
+    B = math.prod(sizes)
+    if n_points % B:
+        S = _histogram(halton_set(n_points % B, bases), bases, box, complex)
+        np.fft.ifftn(S, norm="forward", out=S)
+        ratio = np.abs(S)
+        del S
+    else:  # N = qB: q points in every cell, and every nonzero Weyl sum is 0
+        ratio = np.zeros(sizes)
     num = sum(np.ix_(*(np.arange(P) * (B // P) for P in ratio.shape))) % B
     np.minimum(num, B - num, out=num)
     ratio *= num / B

@@ -350,6 +350,22 @@ def default_depth(p: int) -> int:
     return m
 
 
+# Entries of a float-ingest digit table at most.  A base above 31 would get
+# 1-digit chunks, one divmod per digit either way, so it has no table.
+_CHUNK_LIMIT = 1024
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _digit_chunks(p: int) -> list[tuple[int, ...]] | None:
+    """The table whose entry v holds the w base-p digits of v, most
+    significant first, for the chunk width w of prime p; None where
+    p**2 > _CHUNK_LIMIT.  Built on first use, not at import."""
+    w = 1
+    while p ** (w + 1) <= _CHUNK_LIMIT:
+        w += 1
+    return list(itertools.product(range(p), repeat=w)) if w > 1 else None
+
+
 def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
     """Truncating base-p expansion of a real x in [0, 1): d_j = floor(x*p**j) mod p.
 
@@ -357,9 +373,11 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
     (converted exactly, no decimal reinterpretation), or a Fraction/int.
     Truncation is toward zero, never rounded, so the result is deterministic
     in the input bits.  The digits are peeled off the one integer
-    floor(x * p**depth); x gives its exact ratio num / den through its own
-    ``as_integer_ratio`` where it has one, other inputs (numpy integers, for
-    one) through ``Fraction``.
+    floor(x * p**depth), w at a time through the base's table of w-digit
+    tuples (``_digit_chunks``; one digit at a time for bases above 31); x
+    gives its exact ratio num / den through its own ``as_integer_ratio``
+    where it has one, other inputs (numpy integers, for one) through
+    ``Fraction``.
     """
     p = _require_prime(p)
     depth = default_depth(p) if depth is None else _as_int(depth, "depth")
@@ -377,10 +395,19 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
         if not 0 <= num < den:
             raise OutOfUnitInterval(x)
     scaled = num * p**depth // den
-    digits = [0] * depth
-    for j in range(depth - 1, -1, -1):
-        scaled, digits[j] = divmod(scaled, p)
-    return DigitVector._trusted(p, digits)
+    table = _digit_chunks(p)
+    if table is None:
+        digits = [0] * depth
+        for j in range(depth - 1, -1, -1):
+            scaled, digits[j] = divmod(scaled, p)
+        return DigitVector._trusted(p, digits)
+    w = len(table[0])
+    chunks = []  # least significant first
+    for _ in range(depth // w):
+        scaled, low = divmod(scaled, len(table))
+        chunks.append(table[low])
+    chunks.append(table[scaled][w - depth % w :])  # the depth % w leading digits
+    return DigitVector._trusted(p, list(itertools.chain.from_iterable(reversed(chunks))))
 
 
 def padic_phase(k: int, x: DigitVector) -> Fraction:

@@ -525,8 +525,8 @@ def _recursive_prefixes(ps, bases, sizes):
 
 def _ingested_set(count, primes, seed):
     """``count`` seeded float rows at the default depth, one in eight a
-    copy of an earlier row."""
-    bases = validate_bases(primes)
+    copy of an earlier row; the bases may repeat."""
+    bases = PrimeBases(tuple(primes))
     rng = random.Random(seed)
     rows = []
     for i in range(count):
@@ -559,9 +559,13 @@ def _binary_digit_50_cluster():
                   halton_set(2048, validate_bases((2, 3, 5, 7)), 12345)), [2048, 1000]),
         (_binary_digit_50_cluster, [70, 46, 45, 1]),
         (lambda: _ingested_set(300, (2, 3), 14), [17, 300, 5, 17, 300, 1, 5]),
+        # the route visits the largest base first, the oracle input order
+        (lambda: _ingested_set(1024, (5, 2, 3), 15), [1024, 513]),
+        (lambda: _ingested_set(1024, (3, 2, 3), 16), [1024, 2]),
     ],
     ids=["ingested-2048", "ingested-8192", "bases-2-65537", "halton-2357",
-         "binary-digit-50", "unsorted-repeated-sizes"],
+         "binary-digit-50", "unsorted-repeated-sizes", "bases-out-of-order",
+         "repeated-base"],
 )
 def test_counting_route_equals_recursive_oracle(case, sizes):
     bases, ps = case()
@@ -575,6 +579,28 @@ def test_counting_route_caps_its_live_entries(monkeypatch):
     with pytest.raises(SegmentTooLarge):
         diaphony_kernel(ps, bases)
     assert diaphony_kernel(ps, bases, mode="exact").n_points == len(ps)
+
+
+def test_counting_route_materializes_the_base_2_coordinate_last(monkeypatch):
+    # in input order (2, 3, 5) the last coordinate materialized would hold
+    # 68,173 live entries; largest base first, they are 9,430 and 26,232
+    bases, ps = _ingested_set(2048, (2, 3, 5), 11)
+    uncapped = diaphony_kernel(ps, bases)
+    monkeypatch.setattr(padiaphony.diaphony, "DIGIT_CELL_CAP", 1 << 15)
+    assert diaphony_kernel(ps, bases) == uncapped
+
+
+def test_counting_route_traced_peak_is_at_most_2_5_kib_per_point():
+    # about 4.5 KiB per point when base 2 came first
+    bases, ps = _ingested_set(8192, (2, 3, 5), 12)
+    diaphony_kernel(ps, bases)  # fills the caches
+    tracemalloc.start()
+    try:
+        diaphony_kernel(ps, bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**10 * len(ps)
 
 
 def test_exact_mode_calls_the_kernel_once_per_unordered_pair(monkeypatch):
@@ -1165,6 +1191,23 @@ def test_verify_weyl_bound_reaches_the_end_of_the_index_space():
     assert verify_weyl_bound(2**62 + 432, B23, box) == verify_weyl_bound(2**62, B23, box)
     with pytest.raises(CountOverflow):
         verify_weyl_bound(MAX_INDEX + 2, B23, box)
+
+
+@pytest.mark.parametrize(
+    "n_points, primes, exps, first",
+    [
+        (770, (5, 7, 11), (1, 1, 1), (0, 0, 1)),
+        (1078, (7, 11), (2, 1), (0, 1)),
+        (3 * 2**8 * 3**5, (2, 3), (8, 5), (0, 1)),
+    ],
+)
+def test_weyl_ceiling_check_reads_exact_zeros_when_the_box_divides_n(
+    n_points, primes, exps, first
+):
+    # B | N: every cell holds N / B points, so every nonzero Weyl sum is 0,
+    # and no FFT round-off picks the worst index
+    rep = verify_weyl_bound(n_points, validate_bases(primes), TruncationBox(exps))
+    assert (rep.worst_ratio, rep.worst_index.indices, rep.violations) == (0.0, first, 0)
 
 
 def test_worst_index_does_not_follow_the_last_bit_of_a_tie():

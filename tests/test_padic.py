@@ -277,9 +277,14 @@ UNIT_VALUES = st.one_of(
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     x=UNIT_VALUES,
-    p=st.sampled_from((2, 3, 5, 7, 11, 40009, 65537)),
+    # 31 is the largest base peeled through a digit table, 37 the smallest not
+    p=st.sampled_from((2, 3, 5, 7, 11, 31, 37, 40009, 65537)),
     depth=st.one_of(st.none(), st.integers(1, 70)),
 )
+# base 2 peels 10 digits a chunk: below one chunk, one chunk, two and one digit
+@example(x=0.7, p=2, depth=9)
+@example(x=0.7, p=2, depth=10)
+@example(x=0.7, p=2, depth=21)
 @example(x=5e-324, p=65537, depth=None)
 @example(x=1 - 2**-53, p=2, depth=1)
 @example(x=-0.0, p=3, depth=60)
