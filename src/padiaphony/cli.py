@@ -25,7 +25,7 @@ from .diaphony import (
 )
 from .diaphony import diaphony_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .diaphony import diaphony_kernel_prefixes  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .errors import BoxTooLarge, DiaphonyError, SegmentTooLarge
+from .errors import BoxTooLarge, DiaphonyError, DimensionMismatch, SegmentTooLarge
 from .halton import _check_segment, halton_set, halton_stream, validate_bases
 from .padic import PrimeBases
 from .weights import TruncationBox
@@ -49,18 +49,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _parse_list(flag: str, raw: str, make):
+    """``make`` applied to the ints of the comma list ``raw``; a list that
+    does not parse, or that ``make`` rejects, is a usage error of ``flag``."""
+    try:
+        ints = [int(tok) for tok in raw.split(",") if tok]
+    except ValueError:
+        raise _UsageError(f"{flag}: cannot parse {raw!r}") from None
+    try:
+        return make(ints)
+    except DiaphonyError as exc:
+        raise _UsageError(f"{flag}: {exc}") from None
+
+
 def _parse_bases(args) -> PrimeBases:
     if args.bases is not None and args.dim is not None:
         raise _UsageError("--bases and --dim are mutually exclusive")
     if args.bases is not None:
-        try:
-            raw = [int(tok) for tok in args.bases.split(",") if tok]
-        except ValueError:
-            raise _UsageError(f"--bases: cannot parse {args.bases!r}") from None
-        try:
-            return validate_bases(raw)
-        except DiaphonyError as exc:
-            raise _UsageError(f"--bases: {exc}") from None
+        return _parse_list("--bases", args.bases, validate_bases)
     if args.dim is not None:
         if not 1 <= args.dim <= len(_FIRST_PRIMES):
             raise _UsageError(f"--dim must be in 1..{len(_FIRST_PRIMES)}")
@@ -74,18 +80,13 @@ def _parse_box(args) -> TruncationBox | None:
         if getattr(args, "method", None) == "spectral":
             raise _UsageError("--g is required for this invocation")
         return None
-    try:
-        exps = [int(tok) for tok in raw.split(",") if tok]
-    except ValueError:
-        raise _UsageError(f"--g: cannot parse {raw!r}") from None
-    if len(exps) != args.bases.dimension:
-        raise _UsageError(
-            f"--g: got {len(exps)} entries for dimension {args.bases.dimension}"
-        )
-    try:
+
+    def box(exps):
+        if len(exps) != args.bases.dimension:
+            raise DimensionMismatch(f"got {len(exps)} entries for dimension {args.bases.dimension}")
         return TruncationBox(tuple(exps))
-    except DiaphonyError as exc:
-        raise _UsageError(f"--g: {exc}") from None
+
+    return _parse_list("--g", raw, box)
 
 
 def _emit(args, rows: Iterable[dict], **flags) -> None:

@@ -274,8 +274,9 @@ def _adjacent_agreement(rank, table, point, cell) -> np.ndarray:
     same = np.flatnonzero(cell[1:] == cell[:-1])
     lo, hi = r[same], r[same + 1]
     width = table.shape[1]
-    floor_log2 = np.repeat(np.arange(width.bit_length()), 1 << np.arange(width.bit_length()))
-    k = floor_log2[hi - lo - 1]
+    # floor(log2(hi - lo)), exact below 2**53; frexp's int32 exponent is
+    # widened so that k * width cannot wrap
+    k = np.frexp(hi - lo)[1].astype(np.int64) - 1
     at = k * width + lo
     flat = table.ravel()
     agree = np.full(len(point) - 1, -1, dtype=np.int64)
