@@ -4,8 +4,8 @@ The kernel route needs only which digits point pairs share and gives the
 value directly, as one exact rational.  The spectral route truncates the
 defining series to a finite index box and adds the exact analytic tail, so
 it returns an interval instead of a point value.  The interval holds up to
-the float rounding of the boxed sum, so it is not yet rigorous (ROADMAP
-item 2); here it contains the kernel answer.
+the float rounding of the boxed sum, so it is not yet rigorous until the
+boxed sum is exact (see ROADMAP); here it contains the kernel answer.
 """
 
 from padiaphony import (

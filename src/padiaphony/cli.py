@@ -190,11 +190,7 @@ def cmd_sweep(args) -> int:
     if hi < lo:
         raise _UsageError("--to must be at least --from")
     if step == "pow2":
-        sizes = []
-        n = lo
-        while n <= hi:
-            sizes.append(n)
-            n *= 2
+        sizes = [lo << k for k in range((hi // lo).bit_length())]
     else:
         try:
             stride = int(step)

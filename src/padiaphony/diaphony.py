@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BoxTooLarge, CountOverflow, DiaphonyError, SegmentTooLarge, ZeroIndex
-from .halton import DIGIT_CELL_CAP, MAX_INDEX, _check_segment, halton_set
+from .halton import DIGIT_CELL_CAP, MAX_INDEX, _check_segment
 from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .kernel import kernel_value
 from .padic import (
@@ -729,14 +729,16 @@ def verify_weyl_bound(
 ) -> WeylCheckReport:
     """Check |weyl_sum(k)| <= its ceiling for every nonzero k in the box.
 
-    The check builds N mod B Halton points, B = prod p**g, so less than one
-    period for any N up to 2**63.  Index n lies in grid cell
+    The check builds no point: it counts the grid cells of the first
+    N mod B indices, B = prod p**g, so less than one period of index
+    arithmetic for any N up to 2**63.  Halton point n lies in grid cell
     (n mod p_i**g_i)_i, which by CRT depends only on n mod B, and B
     consecutive indices fill every cell once.  So N = qB + r points,
-    0 <= r < B, have the histogram of the first r points plus q in every
-    cell, and a constant moves the transform only at k = 0, which has no
-    ceiling.  Where B divides N, every nonzero Weyl sum is exactly 0, and
-    no point is built.  Each index records the ratio
+    0 <= r < B, have the histogram of the first r indices (one in each of
+    r distinct cells) plus q in every cell, and a constant moves the
+    transform only at k = 0, which has no ceiling.  Where B divides N the
+    period is empty, its grid is all zero, and every nonzero Weyl sum is
+    exactly 0.  Each index records the ratio
     |S(k)| * ||sum_j phi(k_j)||; ratios above 1 + RATIO_TOLERANCE count as
     violations.  The reported worst index is the first in C order whose
     ratio is within a relative 1e-9 of the largest, so an exact tie does not
@@ -755,13 +757,11 @@ def verify_weyl_bound(
     n_points, _ = _check_segment(n_points, 0)
     sizes = [p**g for p, g in zip(bases.primes, box.exponents)]
     B = math.prod(sizes)
-    if n_points % B:
-        S = _histogram(halton_set(n_points % B, bases), bases, box, complex)
-        np.fft.ifftn(S, norm="forward", out=S)
-        ratio = np.abs(S)
-        del S
-    else:  # N = qB: q points in every cell, and every nonzero Weyl sum is 0
-        ratio = np.zeros(sizes)
+    S = np.zeros(sizes, dtype=complex)
+    S[tuple(np.arange(n_points % B, dtype=np.int32) % P for P in sizes)] = 1
+    np.fft.ifftn(S, norm="forward", out=S)
+    ratio = np.abs(S)
+    del S
     num = sum(np.ix_(*(np.arange(P) * (B // P) for P in ratio.shape))) % B
     np.minimum(num, B - num, out=num)
     ratio *= num / B

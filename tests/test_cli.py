@@ -211,7 +211,7 @@ def test_huge_box_is_a_resource_cap_error(capsys, argv):
 
 @pytest.mark.parametrize("bases, g", [("2", "1"), ("2,3", "8,5")])
 def test_verify_lemma_checks_a_count_at_the_end_of_the_index_space(capsys, bases, g):
-    # the check builds one period of the prefix, at most prod p**g points
+    # the check counts the cells of one period of indices, at most prod p**g
     code, out, err = run(capsys, "verify-lemma", "--bases", bases, "--count", str(2**62),
                          "--g", g)
     assert (code, err) == (0, "")

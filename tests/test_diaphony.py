@@ -880,6 +880,21 @@ def test_weyl_ceiling_check_traced_peak_is_at_most_36_bytes_per_box_entry():
     assert peak <= 36 * 2**10 * 3**6
 
 
+@pytest.mark.parametrize("n_points", [2**62, 9 * 2**10 * 3**6 - 1])
+def test_weyl_ceiling_check_costs_one_period_of_index_arithmetic_at_any_count(n_points):
+    # the cells of the first N mod B indices, as int32, and no point: at
+    # N = 9B - 1 the remainder B - 1 is the largest one period holds
+    box = TruncationBox((10, 6))
+    verify_weyl_bound(n_points, B23, box)  # fills the caches
+    tracemalloc.start()
+    try:
+        verify_weyl_bound(n_points, B23, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**10 * 3**6
+
+
 def test_truncated_spectral_sum_systems_agree_at_equal_bases():
     rng = random.Random(24)
     b22 = PrimeBases((2, 2))
