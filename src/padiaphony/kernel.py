@@ -6,6 +6,8 @@ s-dimensional kernel is the product over coordinates, so it is
 sigma * prod_i (1 - p_i**-t_i) with sigma = prod_i (p_i + 1), and it is zero
 unless every coordinate shares its first digit.  It is discontinuous where
 an expansion changes, so everything is evaluated on exact digit vectors.
+``kernel_value`` holds the one implementation of this rule;
+``centered_kernel_1d`` is its one-coordinate case minus 1.
 """
 
 from __future__ import annotations
@@ -44,16 +46,10 @@ def centered_kernel_1d(x: DigitVector, y: DigitVector) -> Fraction:
 
     Returns p when x = y, and p - (p + 1) * p**-t otherwise, where t is the
     number of leading digits x and y share (positions past either expansion
-    read as zero).  Canonical digit vectors make the x = y branch a
-    structural comparison; no floating point is involved.
+    read as zero): ``kernel_value`` on the one-coordinate points in x's
+    base, minus 1, so a y in another base raises its BaseMismatch.
     """
-    if x.base != y.base:
-        raise BaseMismatch(f"bases {x.base} and {y.base} differ")
-    p = x.base
-    t = _shared_digits(x, y)
-    if t is None:
-        return Fraction(p)
-    return Fraction(p ** (t + 1) - p - 1, p**t)
+    return kernel_value(Point((x,)), Point((y,)), PrimeBases((x.base,))) - 1
 
 
 def kernel_value(x: Point, y: Point, bases: PrimeBases) -> Fraction:

@@ -323,7 +323,7 @@ def monna(n: int, p: int) -> DigitVector:
     p = _require_prime(p)
     n = _as_int(n, "index")
     if n < 0:
-        raise DiaphonyError("n must be nonnegative")
+        raise DiaphonyError(f"index {n} must be nonnegative")
     digits = []
     while n:
         n, r = divmod(n, p)
@@ -341,17 +341,14 @@ def monna_inverse(x: DigitVector) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def default_depth(p: int) -> int:
-    """Smallest m with p**m >= 2**53, capturing a double's full mantissa."""
-    p = _require_prime(p)
-    m, q = 1, p
-    while q < 2**53:
-        q *= p
-        m += 1
-    return m
+    """Smallest m with p**m >= 2**53, capturing a double's full mantissa:
+    the number of base-p digits of 2**53 - 1."""
+    return len(monna(2**53 - 1, p).digits)
 
 
 # Entries of a float-ingest digit table at most.  A base above 31 would get
-# 1-digit chunks, one divmod per digit either way, so it has no table.
+# 1-digit chunks, one divmod per digit either way, so it has no table and
+# its digits are read off ``monna``.
 _CHUNK_LIMIT = 1024
 
 
@@ -374,33 +371,27 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
     Truncation is toward zero, never rounded, so the result is deterministic
     in the input bits.  The digits are peeled off the one integer
     floor(x * p**depth), w at a time through the base's table of w-digit
-    tuples (``_digit_chunks``; one digit at a time for bases above 31); x
-    gives its exact ratio num / den through its own ``as_integer_ratio``
-    where it has one, other inputs (numpy integers, for one) through
-    ``Fraction``.
+    tuples (``_digit_chunks``); bases above 31 have no table and read the
+    integer's digits off ``monna``.  Every x gives its exact ratio num / den
+    through its own ``as_integer_ratio`` where it has one, other inputs
+    (numpy integers, for one) through ``Fraction``; nan and inf raise
+    OutOfUnitInterval chained from the error the ratio raises.
     """
     p = _require_prime(p)
     depth = default_depth(p) if depth is None else _as_int(depth, "depth")
     if depth < 1:
         raise DiaphonyError("depth must be at least 1")
-    if isinstance(x, float):  # the common case, checked on the float itself
-        if not 0 <= x < 1:  # false for nan too
-            raise OutOfUnitInterval(x)
-        num, den = x.as_integer_ratio()
-    else:
-        try:
-            num, den = (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
-        except (TypeError, ValueError, OverflowError) as exc:  # nan / inf / None
-            raise OutOfUnitInterval(x) from exc
-        if not 0 <= num < den:
-            raise OutOfUnitInterval(x)
+    try:
+        num, den = (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
+    except (TypeError, ValueError, OverflowError) as exc:  # nan / inf / None
+        raise OutOfUnitInterval(x) from exc
+    if not 0 <= num < den:
+        raise OutOfUnitInterval(x)
     scaled = num * p**depth // den
     table = _digit_chunks(p)
     if table is None:
-        digits = [0] * depth
-        for j in range(depth - 1, -1, -1):
-            scaled, digits[j] = divmod(scaled, p)
-        return DigitVector._trusted(p, digits)
+        digits = monna(scaled, p).digits  # least significant first
+        return DigitVector._trusted(p, [0] * (depth - len(digits)) + list(reversed(digits)))
     w = len(table[0])
     chunks = []  # least significant first
     for _ in range(depth // w):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DiaphonyError, DimensionMismatch
-from .padic import IndexVector, PrimeBases, _as_int, _require_dimension, _require_prime
+from .padic import IndexVector, PrimeBases, _as_int, _require_dimension, monna
 
 __all__ = [
     "TruncationBox",
@@ -40,20 +40,12 @@ class TruncationBox:
 def block_weight(k: int, p: int) -> Fraction:
     """Weight of index k in base p: 1 at k = 0, p**(-2t) on p**t <= k < p**(t+1).
 
-    The block exponent t is found by repeated integer division, never by a
-    floating-point logarithm, so block boundaries are exact.
+    The block exponent t is one less than the number of k's base-p digits,
+    read off ``monna`` (which checks p, then k), never a floating-point
+    logarithm, so block boundaries are exact; k = 0 has no digits.
     """
-    p = _require_prime(p)
-    k = _as_int(k, "index")
-    if k < 0:
-        raise DiaphonyError("index must be nonnegative")
-    if k == 0:
-        return Fraction(1)
-    t = 0
-    while k >= p:
-        k //= p
-        t += 1
-    return Fraction(1, p ** (2 * t))
+    x = monna(k, p)
+    return Fraction(1, x.base ** (2 * max(len(x.digits) - 1, 0)))
 
 
 def block_weight_product(k: IndexVector, bases: PrimeBases) -> Fraction:

@@ -30,6 +30,7 @@ from padiaphony import (
     ZeroIndex,
     block_weight_product,
     char_product,
+    default_depth,
     diaphony_kernel,
     diaphony_kernel_prefixes,
     diaphony_spectral,
@@ -363,6 +364,18 @@ def test_fast_kernel_handles_large_bases(primes):
     pts = [point_from_values([rng.random() for _ in primes], bases) for _ in range(24)]
     assert any(d >= 32768 for pt in pts for c in pt.coords for d in c.digits)
     assert diaphony_kernel(pts, bases, "fast") == diaphony_kernel(pts, bases, "exact")
+
+
+def test_kernel_routes_agree_at_the_largest_supported_base():
+    # p**2 >= 2**62 leaves the agreement table a one-digit word, and one
+    # digit holds a whole double, so ingest peels a single digit
+    bases = validate_bases([2**63 - 25, 2])
+    assert default_depth(2**63 - 25) == 1
+    rows = [[0.1, 0.7], [0.9, 0.2], [0.1, 0.7], [0.0, 0.0], [0.5, 0.5], [0.3, 0.25]]
+    pts = [point_from_values(row, bases) for row in rows]
+    assert diaphony_kernel(pts, bases, "fast") == diaphony_kernel(pts, bases, "exact")
+    segment = halton_set(64, bases, 2**40)
+    assert diaphony_kernel(segment, bases) == halton_diaphony_prefixes(bases, [64], 2**40)[0]
 
 
 def _with_digit(x: DigitVector, position: int, digit: int) -> DigitVector:

@@ -241,6 +241,11 @@ def test_float_to_digits_default_depth_captures_mantissa():
     x = 0.73  # leading bit at position 1, so 53 digits hold the whole double
     dv = float_to_digits(x, 2)
     assert dv.value() == Fraction(x)
+    for p in [p for p in range(2000) if is_prime(p)] + [2**61 - 1, 2**63 - 25]:
+        m = 1
+        while p**m < 2**53:
+            m += 1
+        assert default_depth(p) == m, p
 
 
 def test_float_to_digits_rejects_outside_unit_interval():
