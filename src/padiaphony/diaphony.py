@@ -266,8 +266,9 @@ def _agreement_table(head: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _adjacent_agreement(rank, table, point, cell) -> np.ndarray:
-    """Shared-digit counts of adjacent entries sorted by (cell, rank), -1
-    where the cell changes."""
+    """Shared-digit counts of adjacent entries sorted by (cell, rank), 0
+    where the cell changes: level 0 is no cell of the coordinate, so a cell
+    change reads as a pair that shares no digit."""
     import numpy as np
 
     r = rank[point]
@@ -279,7 +280,7 @@ def _adjacent_agreement(rank, table, point, cell) -> np.ndarray:
     k = np.frexp(hi - lo)[1].astype(np.int64) - 1
     at = k * width + lo
     flat = table.ravel()
-    agree = np.full(len(point) - 1, -1, dtype=np.int64)
+    agree = np.zeros(len(point) - 1, dtype=np.int64)
     agree[same] = np.minimum(flat[at], flat[at + (hi - lo) - (1 << k)])
     return agree
 
@@ -290,39 +291,30 @@ def _lcp_intervals(agree: np.ndarray) -> tuple[np.ndarray, ...]:
 
     At level a >= 1 the entries fall into cells split wherever the adjacent
     agreement is below a, so [s, e] is a cell at levels
-    max(agree[s-1], agree[e]) + 1 .. min(agree[s:e]).  The levels are
-    walked upward, each step jumping to the next level at which a cell
-    splits, over the entries whose cell still holds two or more; each run
-    is reported once, at the last level at which it is whole.
+    max(agree[s-1], agree[e]) + 1 .. min(agree[s:e]), reading 0 past both
+    ends.  The walk visits the agreement values the pairs hold, least
+    first, over the pairs that agree above every value already visited: at
+    value h the blocks of consecutive such pairs are the cells at level h,
+    and a block holding a pair that agrees on exactly h is a run with
+    hi = h.  Each run is found once, at its least agreement, and the pairs
+    at h are dropped before the next value.
     """
     import numpy as np
 
-    live = np.arange(len(agree) + 1)
-    gap = agree  # agreement of live neighbours, -1 where entries were dropped
-    level = 1
+    pos = np.flatnonzero(agree > 0)
     none = np.empty(0, dtype=np.int64)
     runs = [(none, none, none)]
-    while True:
-        joined = gap >= level
-        alone = ~(np.concatenate(([False], joined)) | np.concatenate((joined, [False])))
-        if alone.any():
-            live = live[~alone]
-            if len(live) < 2:
-                break
-            gap = np.where(np.diff(live) == 1, agree[live[:-1]], -1)
-            joined = gap >= level
-        hi = gap[joined].min()
-        cut = np.flatnonzero(~joined)
-        whole = np.zeros(len(cut) + 1, dtype=bool)
-        whole[np.searchsorted(cut, np.flatnonzero(gap == hi))] = True
-        first = np.concatenate(([0], cut + 1))[whole]
-        last = np.concatenate((cut, [len(live) - 1]))[whole]
-        runs.append((live[first], live[last], np.full(len(first), hi)))
-        level = hi + 1
+    while len(pos):
+        value = agree[pos]
+        h = value.min()
+        first = np.flatnonzero(np.diff(pos, prepend=-2) != 1)
+        last = np.append(first[1:], len(pos)) - 1
+        hit = np.minimum.reduceat(value, first) == h
+        runs.append((pos[first[hit]], pos[last[hit]] + 1, np.full(hit.sum(), h)))
+        pos = pos[value > h]
     s, e, hi = map(np.concatenate, zip(*runs))
-    outside = np.concatenate(([-1], agree, [-1]))
-    lo = np.maximum(np.maximum(outside[s], outside[e + 1]) + 1, 1)
-    return s, e, lo, hi
+    outside = np.concatenate(([0], agree, [0]))
+    return s, e, np.maximum(outside[s], outside[e + 1]) + 1, hi
 
 
 def _pair_sums(ps: PointSet, sizes: list[int]) -> list[int]:
@@ -379,13 +371,12 @@ def _pair_sums(ps: PointSet, sizes: list[int]) -> list[int]:
             cell = np.repeat(np.arange(len(s)), length)
             point = point[np.arange(len(cell)) + np.repeat(s - np.cumsum(length) + length, length)]
             cell_key = key
-    by_key = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[by_key], np.arange(len(weights)))
     totals = []
     for n in sizes:
         below = np.concatenate(([0], np.cumsum(point < n)))
-        count = (below[e + 1] - below[s])[by_key]
-        pairs = np.add.reduceat(count * (count - 1) // 2, bounds)
+        count = below[e + 1] - below[s]
+        pairs = np.zeros(len(weights), dtype=np.int64)
+        np.add.at(pairs, key, count * (count - 1) // 2)
         totals.append(sum(map(operator.mul, weights, pairs.tolist())))
     return totals
 

@@ -62,6 +62,7 @@ from padiaphony.diaphony import (
     _check_box,
     _first_near_max,
     _kernel_report,
+    _lcp_intervals,
 )
 from padiaphony.padic import _point_list
 
@@ -550,6 +551,20 @@ def _ingested_set(count, primes, seed):
     return bases, PointSet.from_points([point_from_values(r, bases) for r in rows], bases)
 
 
+def _binary_staircase():
+    """2**-k for k = 1..53 in base 2, every seventh one repeated, and the
+    origin, each with base-3 coordinate 1/3: neighbours agree on every
+    level from 1 to 52, repeated rows on all 53."""
+    bases = validate_bases((2, 3))
+    third = DigitVector(3, (1,))
+    pts = []
+    for k in range(1, 54):
+        x = Point((DigitVector(2, (0,) * (k - 1) + (1,)), third))
+        pts += [x, x] if k % 7 == 1 else [x]
+    pts.append(Point((DigitVector(2, ()), third)))
+    return bases, PointSet.from_points(pts, bases)
+
+
 def _binary_digit_50_cluster():
     """40 ingested points in bases (2, 3, 5, 7) and a cluster of 24 points
     equal to the first of them but for binary digit 50 of the first
@@ -575,14 +590,35 @@ def _binary_digit_50_cluster():
         # the route visits the largest base first, the oracle input order
         (lambda: _ingested_set(1024, (5, 2, 3), 15), [1024, 513]),
         (lambda: _ingested_set(1024, (3, 2, 3), 16), [1024, 2]),
+        # the most levels one coordinate holds at the default depth
+        (_binary_staircase, [62, 53, 2]),
     ],
     ids=["ingested-2048", "ingested-8192", "bases-2-65537", "halton-2357",
          "binary-digit-50", "unsorted-repeated-sizes", "bases-out-of-order",
-         "repeated-base"],
+         "repeated-base", "binary-staircase"],
 )
 def test_counting_route_equals_recursive_oracle(case, sizes):
     bases, ps = case()
     assert diaphony_kernel_prefixes(ps, bases, sizes) == _recursive_prefixes(ps, bases, sizes)
+
+
+def test_lcp_intervals_equal_a_brute_force_enumeration():
+    # every [s, e] whose least agreement is above both neighbours' (0 past
+    # either end) is one run, found once
+    rng = random.Random(7)
+    for _ in range(3000):
+        top = rng.choice((1, 2, 3, 8, 53))
+        agree = [rng.choice((0, top, rng.randint(0, top))) for _ in range(rng.randrange(40))]
+        pad = [0] + agree + [0]
+        expected = [
+            (s, e, max(pad[s], pad[e + 1]) + 1, min(agree[s:e]))
+            for s in range(len(agree) + 1)
+            for e in range(s + 1, len(agree) + 1)
+            if min(agree[s:e]) > max(pad[s], pad[e + 1])
+        ]
+        rows = list(zip(*(a.tolist() for a in _lcp_intervals(np.array(agree, dtype=np.int64)))))
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == set(expected)
 
 
 def test_counting_route_caps_its_live_entries(monkeypatch):
