@@ -14,7 +14,9 @@ worst-case-error identity, the asymptotic bound for Halton prefixes, and
 the per-index Weyl-sum ceiling check.
 
 numpy is imported inside the functions that build arrays, so the closed
-form, the bound and the scalar oracles run without loading it.
+form, the bound and the scalar oracles run without loading it.  The three
+reports are slotted immutable records (``padic._Record``), not dataclasses,
+so importing the module loads neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -38,6 +39,7 @@ from .padic import (
     PrimeBases,
     _as_int,
     _point_list,
+    _Record,
     _require_dimension,
     char_product,
     monna,
@@ -79,39 +81,37 @@ RATIO_TOLERANCE = 1e-9
 _TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class DiaphonyReport:
+class DiaphonyReport(_Record):
     """Result of one diaphony computation.
 
     ``enclosure`` and ``box`` are populated by the spectral method only;
     there ``lower <= f_squared <= upper`` is guaranteed.
     """
 
-    n_points: int
-    f: float
-    f_squared: float
-    method: str
-    enclosure: tuple[float, float] | None = None
-    box: TruncationBox | None = None
+    __slots__ = ("n_points", "f", "f_squared", "method", "enclosure", "box")
+
+    def __init__(self, n_points: int, f: float, f_squared: float, method: str,
+                 enclosure: tuple[float, float] | None = None, box: TruncationBox | None = None):
+        self._set(n_points, f, f_squared, method, enclosure, box)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Constants and value of the asymptotic ceiling on the squared diaphony."""
 
-    c: float
-    d: float
-    bound_f_squared: float
+    __slots__ = ("c", "d", "bound_f_squared")
+
+    def __init__(self, c: float, d: float, bound_f_squared: float):
+        self._set(c, d, bound_f_squared)
 
 
-@dataclass(frozen=True)
-class WeylCheckReport:
+class WeylCheckReport(_Record):
     """Worst observed |Weyl sum| / ceiling ratio over an index box."""
 
-    box: TruncationBox
-    worst_ratio: float
-    worst_index: IndexVector
-    violations: int
+    __slots__ = ("box", "worst_ratio", "worst_index", "violations")
+
+    def __init__(self, box: TruncationBox, worst_ratio: float, worst_index: IndexVector,
+                 violations: int):
+        self._set(box, worst_ratio, worst_index, violations)
 
 
 def _check_box(box: TruncationBox, bases: PrimeBases) -> None:

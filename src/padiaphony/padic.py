@@ -12,7 +12,6 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -112,8 +111,51 @@ def _require_dimension(what: str, n: int, bases: PrimeBases) -> None:
         raise DimensionMismatch(f"{what} dimension {n} != bases dimension {bases.dimension}")
 
 
-@dataclass(frozen=True)
-class DigitVector:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in ``__slots__``, in order, and its
+    ``__init__`` checks them and sets each once, with ``object.__setattr__``
+    or ``_set``.  Equality (same class only) and hash read the fields
+    through the class's one ``operator.attrgetter``, repr and pickling by
+    name; assigning or deleting an attribute raises AttributeError.  Slots
+    rather than dataclasses, which load ``inspect`` and exec each class's
+    generated methods at every import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def _set(self, *values) -> None:
+        """Set the fields to the values, in order; for ``__init__`` only."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DigitVector(_Record):
     """A coordinate in [0, 1) as a finite base-p expansion.
 
     ``digits[j-1]`` is the coefficient of ``base**-j``.  Trailing zeros are
@@ -121,12 +163,11 @@ class DigitVector:
     of 0 and equality of values is structural equality of fields.
     """
 
-    base: int
-    digits: tuple[int, ...] = ()
+    __slots__ = ("base", "digits")
 
-    def __post_init__(self):
-        base = _require_prime(self.base)
-        digits = [_as_int(d, "digit") for d in self.digits]
+    def __init__(self, base: int, digits: tuple[int, ...] = ()):
+        base = _require_prime(base)
+        digits = [_as_int(d, "digit") for d in digits]
         while digits and digits[-1] == 0:
             digits.pop()
         for d in digits:
@@ -134,6 +175,16 @@ class DigitVector:
                 raise DiaphonyError(f"digit {d!r} out of range for base {base}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "digits", tuple(digits))
+
+    # The hot record: a set of points hashes and compares it per coordinate,
+    # and two slot reads beat a two-field attrgetter call on Python 3.11.
+    def __eq__(self, other):
+        if other.__class__ is not DigitVector:
+            return NotImplemented
+        return self.base == other.base and self.digits == other.digits
+
+    def __hash__(self):
+        return hash((self.base, self.digits))
 
     @classmethod
     def _trusted(cls, base: int, digits: list[int]) -> DigitVector:
@@ -161,14 +212,13 @@ class DigitVector:
         return Fraction(num, self.base ** len(self.digits))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Record):
     """An s-dimensional point; coordinate i is a DigitVector in its own base."""
 
-    coords: tuple[DigitVector, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
+    def __init__(self, coords: tuple[DigitVector, ...]):
+        coords = tuple(coords)
         if not coords:
             raise DimensionMismatch("a point needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
@@ -181,8 +231,7 @@ class Point:
         return tuple(c.value() for c in self.coords)
 
 
-@dataclass(frozen=True)
-class PrimeBases:
+class PrimeBases(_Record):
     """Per-dimension prime bases.
 
     Construction checks primality only; operations that require pairwise
@@ -190,10 +239,10 @@ class PrimeBases:
     distinctness themselves via :meth:`require_distinct`.
     """
 
-    primes: tuple[int, ...]
+    __slots__ = ("primes",)
 
-    def __post_init__(self):
-        primes = tuple(_as_int(p, "base") for p in self.primes)
+    def __init__(self, primes: tuple[int, ...]):
+        primes = tuple(_as_int(p, "base") for p in primes)
         if not primes:
             raise EmptyBases()
         for p in primes:
@@ -238,8 +287,7 @@ def _point_list(points, bases: PrimeBases) -> list[Point]:
     return pts
 
 
-@dataclass(frozen=True, eq=False)
-class PointSet:
+class PointSet(_Record):
     """N points in the unit cube as digit arrays, one matrix per dimension.
 
     ``digits[i]`` is an ``(N, depth_i)`` int64 matrix whose column j holds
@@ -249,22 +297,24 @@ class PointSet:
     64 bits), and the kernel route compares digit columns anyway.
     """
 
-    bases: PrimeBases
-    digits: tuple[np.ndarray, ...]
+    __slots__ = ("bases", "digits")
+    # equal digit arrays are not compared: equality and hash are identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, bases: PrimeBases, digits: tuple[np.ndarray, ...]):
         import numpy as np
 
-        digits = tuple(self.digits)
-        _require_dimension("point set", len(digits), self.bases)
-        for m, p in zip(digits, self.bases.primes):
+        digits = tuple(digits)
+        _require_dimension("point set", len(digits), bases)
+        for m, p in zip(digits, bases.primes):
             if m.dtype != np.int64 or m.ndim != 2 or m.shape[1] < 1:
                 raise DiaphonyError("digit matrices must be 2-d int64 with a column")
             if m.shape[0] != digits[0].shape[0] or m.shape[0] < 1:
                 raise DiaphonyError("digit matrices must share a positive row count")
             if m.min() < 0 or m.max() >= p:
                 raise DiaphonyError(f"digit out of range for base {p}")
-        object.__setattr__(self, "digits", digits)
+        self._set(bases, digits)
 
     def __len__(self) -> int:
         return self.digits[0].shape[0]
@@ -292,14 +342,13 @@ class PointSet:
         return cls(bases, tuple(mats))
 
 
-@dataclass(frozen=True)
-class IndexVector:
+class IndexVector(_Record):
     """A vector of nonnegative character indices, one per dimension."""
 
-    indices: tuple[int, ...]
+    __slots__ = ("indices",)
 
-    def __post_init__(self):
-        indices = tuple(_as_int(k, "index") for k in self.indices)
+    def __init__(self, indices: tuple[int, ...]):
+        indices = tuple(_as_int(k, "index") for k in indices)
         if not indices:
             raise DimensionMismatch("an index vector needs at least one entry")
         if min(indices) < 0:

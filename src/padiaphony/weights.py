@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DiaphonyError, DimensionMismatch
-from .padic import IndexVector, PrimeBases, _as_int, _require_dimension, monna
+from .padic import IndexVector, PrimeBases, _as_int, _Record, _require_dimension, monna
 
 __all__ = [
     "TruncationBox",
@@ -17,14 +16,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncationBox:
+class TruncationBox(_Record):
     """Per-dimension digit depths g; dimension i enumerates 0 <= k_i < p_i**g_i."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        exponents = tuple(_as_int(g, "box exponent") for g in self.exponents)
+    def __init__(self, exponents: tuple[int, ...]):
+        exponents = tuple(_as_int(g, "box exponent") for g in exponents)
         if not exponents:
             raise DimensionMismatch("a truncation box needs at least one entry")
         for g in exponents:

@@ -508,6 +508,34 @@ def test_csv_runs_load_neither_logging_nor_json():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_run_loads_dataclasses_and_numpy_free_runs_load_no_inspect():
+    # a fresh interpreter, counting only modules loaded after startup: the
+    # records are slotted classes, so nothing loads dataclasses, and only
+    # numpy, on the array routes, may load inspect
+    proc = _run_python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "def run(*argvs):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        for argv in argvs:\n"
+        "            assert main(argv) == 0, argv\n"
+        "    return {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
+        "import padiaphony\n"
+        "from padiaphony.cli import main\n"
+        "loaded = run(['bound', '--dim', '4', '--count', '2048'],\n"
+        "             ['diaphony', '--dim', '4', '--count', '2048', '--start', '1234567'],\n"
+        "             ['sweep', '--bases', '2,3', '--from', '1', '--to', '4096', '--step', 'pow2'],\n"
+        "             ['halton', '--bases', '2,3', '--count', '8'])\n"
+        "assert not loaded, loaded\n"
+        "loaded = run(['diaphony', '--bases', '2,3', '--count', '64',\n"
+        "              '--method', 'spectral', '--g', '4,3'],\n"
+        "             ['verify-lemma', '--bases', '2,3', '--count', '64', '--g', '4,3'])\n"
+        "assert 'dataclasses' not in loaded, loaded\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_streamed_output_equals_the_joined_text(capsys, monkeypatch):
     seen = []
 
