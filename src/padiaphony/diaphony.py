@@ -79,6 +79,10 @@ ENUMERATION_CAP = 1 << 22
 RATIO_TOLERANCE = 1e-9
 # Ratios within this relative distance of the largest tie for the worst index.
 _TIE_TOLERANCE = 1e-9
+# Box entries per slab of the spectral reduction's temporaries, and the
+# least columns per slab of |T|**2 where the half spectrum has that many.
+_SLAB_ENTRIES = 1 << 15
+_SLAB_COLUMNS = 16
 
 
 class DiaphonyReport(_Record):
@@ -150,18 +154,28 @@ def _digit_reversed(a: np.ndarray, bases: PrimeBases, box: TruncationBox) -> np.
     return a.reshape(_digit_shape(bases, box)).transpose(axes).reshape(a.shape)
 
 
+def _cell_index(ps: PointSet, bases: PrimeBases, box: TruncationBox, shape) -> np.ndarray:
+    """The flat C-order index, in an array of the given shape, of each
+    point's cell on the grid of X = monna_inverse(x) mod p**g.  X mod p**g
+    is read off the first g digit columns; an axis of ``shape`` may be
+    longer than p**g, as the padded rows of ``_boxed_sums`` are."""
+    import numpy as np
+
+    flat = np.zeros(len(ps), dtype=np.int64)
+    for d, p, g, size in zip(ps.digits, bases.primes, box.exponents, shape):
+        head = d[:, :g]
+        flat = flat * size + head @ p ** np.arange(head.shape[1])
+    return flat
+
+
 def _histogram(ps: PointSet, bases: PrimeBases, box: TruncationBox, dtype) -> np.ndarray:
     """Point counts on the grid of X = monna_inverse(x) mod p**g, of shape
-    ``(p_1**g_1, ..., p_s**g_s)`` and the given dtype.  X mod p**g is read
-    off the first g digit columns, and one bincount runs over the flat cell
-    index."""
+    ``(p_1**g_1, ..., p_s**g_s)`` and the given dtype: one bincount over
+    the flat cell index."""
     import numpy as np
 
     sizes = [p**g for p, g in zip(bases.primes, box.exponents)]
-    flat = np.zeros(len(ps), dtype=np.int64)
-    for d, p, g, size in zip(ps.digits, bases.primes, box.exponents, sizes):
-        head = d[:, :g]
-        flat = flat * size + head @ p ** np.arange(head.shape[1])
+    flat = _cell_index(ps, bases, box, sizes)
     return np.bincount(flat, minlength=math.prod(sizes)).astype(dtype).reshape(sizes)
 
 
@@ -515,6 +529,24 @@ def halton_diaphony_prefixes(
 # Spectral route
 
 
+def _sub_box_sums(E: np.ndarray, axis: int, p: int, g: int) -> np.ndarray:
+    """E scaled along ``axis``, an axis of p**g frequencies or its first
+    half, by the weight p**-2(g - 1 - v_p(j)) of frequency j (1 at j = 0),
+    then summed over the nested slices [::p**(g - g')], g' = 1..g: that
+    axis becomes length g."""
+    import numpy as np
+
+    weights = np.empty(E.shape[axis])
+    for v in range(g):
+        weights[:: p**v] = 1.0 / p ** (2 * (g - 1 - v))
+    E *= weights.reshape((-1,) + (1,) * (E.ndim - 1 - axis))
+    lead = (slice(None),) * axis
+    return np.stack(
+        [E[lead + (slice(None, None, p**v),)].sum(axis=axis) for v in reversed(range(g))],
+        axis=axis,
+    )
+
+
 def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox) -> np.ndarray:
     """The boxed part of the squared diaphony for every sub-box g' <= box:
     entry g' - 1 is (1/(sigma - 1)) * sum over the nonzero k of g' of
@@ -531,33 +563,58 @@ def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox) -> np.ndarr
     g - 1 - v_p(j), so its weight is p**-2(g - 1 - v_p(j)) (1 for j = 0),
     and k < p**g' exactly when p**(g - g') divides j.  So each axis is
     scaled by its weights, and sub-box g' sums the nested slice
-    [::p**(g - g')].  Only sums and elementwise products run, so the
-    result does not depend on the thread count.
+    [::p**(g - g')].
+
+    One buffer holds the whole transform, about 8 bytes per box entry, in
+    the padded in-place layout of FFTW: the counts go into float rows of
+    2 (P//2 + 1) entries, which viewed as complex are the rows of the half
+    spectrum.  ``rfft`` runs on slabs of about _SLAB_ENTRIES entries, each
+    written back over its own rows, and the other axes are transformed in
+    place.  |T|**2 is then taken and reduced over every axis but the last
+    on column slabs of about _SLAB_ENTRIES entries and at least
+    _SLAB_COLUMNS columns (all of them in a narrower half spectrum), so no
+    temporary of the box's size appears where the half spectrum is wide.
+    The traced peak is 8.6 bytes per entry at (2,3), g = (10,6) and 9.7 at
+    (2,3,5), g = (6,4,3), where an int64 histogram beside its float copy,
+    and then that copy beside its transform, took 16; a 1-d box still
+    holds its one row's transform beside the counts.  Every entry sees the
+    operations of a whole-array pass in the same order, so the result is
+    bitwise the same: a sum over a non-last axis adds its terms in
+    sequence whatever the slab width, but over a 1-column slab numpy
+    would sum that axis pairwise, so _SLAB_COLUMNS is at least 2.
+    Only sums and elementwise products run, so the result does not depend
+    on the thread count.
     """
     import numpy as np
 
     _check_box(box, bases)
-    H = _histogram(ps, bases, box, float)
-    T = np.fft.rfft(H)
-    del H
-    for axis in range(T.ndim - 1):
+    axes = list(zip(bases.primes, box.exponents))
+    *lead, P = [p**g for p, g in axes]
+    half = P // 2 + 1
+    rows = math.prod(lead)
+    cells = _cell_index(ps, bases, box, lead + [2 * half])
+    counts = np.bincount(cells, weights=np.ones(len(cells)), minlength=rows * 2 * half)
+    counts = counts.reshape(rows, 2 * half)
+    T = counts.view(complex)
+    step = max(1, _SLAB_ENTRIES // P)
+    for r in range(0, rows, step):
+        T[r : r + step] = np.fft.rfft(counts[r : r + step, :P])
+    T = T.reshape(lead + [half])
+    for axis in range(len(lead)):
         np.fft.fft(T, axis=axis, out=T)
-    E = np.abs(T)
-    del T
-    E *= E
-    P = bases.primes[-1] ** box.exponents[-1]
+    T.flat[0] = 0.0  # S(0) = N: the origin is not a nonzero k
+    E = np.empty(list(box.exponents[:-1]) + [half])
+    slabs = max(1, min(half // _SLAB_COLUMNS, -(-rows * half // _SLAB_ENTRIES)))
+    bounds = [half * i // slabs for i in range(slabs + 1)]
+    for c0, c1 in zip(bounds, bounds[1:]):
+        slab = np.abs(T[..., c0:c1])
+        slab *= slab
+        for axis, (p, g) in enumerate(axes[:-1]):
+            slab = _sub_box_sums(slab, axis, p, g)
+        E[..., c0:c1] = slab
+    # the mirror columns; a factor of 2 commutes exactly with every rounding
     E[..., 1 : (P + 1) // 2] *= 2
-    E.flat[0] = 0.0
-    for axis, (p, g) in enumerate(zip(bases.primes, box.exponents)):
-        weights = np.empty(E.shape[axis])
-        for v in range(g):
-            weights[:: p**v] = 1.0 / p ** (2 * (g - 1 - v))
-        E *= weights.reshape((-1,) + (1,) * (E.ndim - 1 - axis))
-        lead = (slice(None),) * axis
-        E = np.stack(
-            [E[lead + (slice(None, None, p**v),)].sum(axis=axis) for v in reversed(range(g))],
-            axis=axis,
-        )
+    E = _sub_box_sums(E, len(lead), *axes[-1])
     return E / len(ps) ** 2 / float(weight_mass(bases) - 1)
 
 
@@ -597,6 +654,9 @@ def diaphony_spectral(
     that rounding, not rigorously.  The reported point value is the
     midpoint of the enclosure, below 1: the exact boxed sum is at most
     1 - tail, and every box within ENUMERATION_CAP has tail > 1e-7.
+    The transform is held in one half-spectrum buffer of about 8 bytes per
+    box entry; the traced peak is 8.6 bytes per entry at (2,3), g = (10,6)
+    and 9.7 at (2,3,5), g = (6,4,3) (see ``_boxed_sums``).
     """
     ps = PointSet.from_points(points, bases)
     lower = truncated_spectral_sum(ps, bases, box)

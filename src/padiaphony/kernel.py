@@ -19,6 +19,8 @@ from .padic import DigitVector, Point, PrimeBases
 
 __all__ = ["centered_kernel_1d", "kernel_value"]
 
+_ZERO = Fraction(0)
+
 
 def _shared_digits(x: DigitVector, y: DigitVector) -> int | None:
     """The number of leading digits x and y share, or None when x = y.
@@ -57,12 +59,13 @@ def kernel_value(x: Point, y: Point, bases: PrimeBases) -> Fraction:
 
     Each factor is (p + 1)(p**t - 1) / p**t, or p + 1 for equal coordinates;
     the integer numerators and denominators are multiplied and one Fraction
-    is built at the end.  A coordinate sharing no digit gives 0 at once.
+    is built at the end.  A coordinate sharing no digit gives 0 at once,
+    as one shared Fraction.
     """
-    if not (x.dimension == y.dimension == bases.dimension):
+    if not (len(x.coords) == len(y.coords) == len(bases.primes)):
         raise DimensionMismatch(
-            f"points ({x.dimension}, {y.dimension}) and bases "
-            f"({bases.dimension}) dimensions differ"
+            f"points ({len(x.coords)}, {len(y.coords)}) and bases "
+            f"({len(bases.primes)}) dimensions differ"
         )
     # every base is checked before a zero factor can return early
     for xi, yi, p in zip(x.coords, y.coords, bases.primes):
@@ -74,7 +77,7 @@ def kernel_value(x: Point, y: Point, bases: PrimeBases) -> Fraction:
         if t is None:
             num *= p + 1
         elif t == 0:
-            return Fraction(0)
+            return _ZERO
         else:
             pt = p**t
             num *= (p + 1) * (pt - 1)

@@ -59,6 +59,11 @@ _MAX_BASE = 2**63 - 1
 # Entries kept by the per-base caches: bases repeat, so a few suffice, and
 # a bound keeps many distinct calls from growing the cache without limit.
 _CACHE_SIZE = 1024
+# int() parses base-p text in C for p <= 36.  Outside the powers of 2 it
+# refuses text longer than sys.get_int_max_str_digits(), which is 0 (no
+# limit) or at least 640, so the text is parsed 640 digits at a time.
+_DIGIT_TEXT = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+_TEXT_DIGITS = 640
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)  # typed: 7.0 must not hit the entry for 7
@@ -103,6 +108,24 @@ def _require_prime(p) -> int:
     if not is_prime(p):
         raise NonPrimeBase(p)
     return p
+
+
+def _digits_to_int(digits, p: int) -> int:
+    """The integer with base-p digits ``digits``, most significant first.
+
+    For p <= 36 each Python step parses up to _TEXT_DIGITS digits as text;
+    a larger base, with few digits per coordinate, takes one Horner step
+    per digit."""
+    num = 0
+    if p > 36:
+        for d in digits:
+            num = num * p + d
+        return num
+    text = bytes(digits).translate(_DIGIT_TEXT)
+    for j in range(0, len(text), _TEXT_DIGITS):
+        chunk = text[j : j + _TEXT_DIGITS]
+        num = num * p ** len(chunk) + int(chunk, p)
+    return num
 
 
 def _require_dimension(what: str, n: int, bases: PrimeBases) -> None:
@@ -206,10 +229,7 @@ class DigitVector(_Record):
 
     def value(self) -> Fraction:
         """Exact value sum_j digits[j] * base**-j, in [0, 1)."""
-        num = 0
-        for d in self.digits:
-            num = num * self.base + d
-        return Fraction(num, self.base ** len(self.digits))
+        return Fraction(_digits_to_int(self.digits, self.base), self.base ** len(self.digits))
 
 
 class Point(_Record):
@@ -382,10 +402,7 @@ def monna(n: int, p: int) -> DigitVector:
 
 def monna_inverse(x: DigitVector) -> int:
     """Reflect a finite expansion back to the integer sum_j d_j base**(j-1)."""
-    n = 0
-    for d in reversed(x.digits):
-        n = n * x.base + d
-    return n
+    return _digits_to_int(x.digits[::-1], x.base)
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)

@@ -59,6 +59,7 @@ from padiaphony import (
 import padiaphony.diaphony
 from padiaphony.diaphony import (
     ENUMERATION_CAP,
+    _boxed_sums,
     _check_box,
     _first_near_max,
     _kernel_report,
@@ -913,6 +914,96 @@ def test_spectral_sum_traced_peak_is_at_most_20_bytes_per_box_entry():
     finally:
         tracemalloc.stop()
     assert peak <= 20 * 2**10 * 3**6
+
+
+def _whole_array_boxed_sums(ps, bases, box):
+    """The boxed sums as one pass over whole arrays: the int64 histogram and
+    its float copy, the whole ``rfft`` beside the histogram, and the whole
+    |T|**2, each reduced one axis at a time.  The bitwise reference for the
+    half-spectrum buffer of ``_boxed_sums``."""
+    sizes = [p**g for p, g in zip(bases.primes, box.exponents)]
+    flat = np.zeros(len(ps), dtype=np.int64)
+    for d, p, g, size in zip(ps.digits, bases.primes, box.exponents, sizes):
+        flat = flat * size + d[:, :g] @ p ** np.arange(d[:, :g].shape[1])
+    H = np.bincount(flat, minlength=math.prod(sizes)).astype(float).reshape(sizes)
+    T = np.fft.rfft(H)
+    for axis in range(T.ndim - 1):
+        np.fft.fft(T, axis=axis, out=T)
+    E = np.abs(T)
+    E *= E
+    P = sizes[-1]
+    E[..., 1 : (P + 1) // 2] *= 2
+    E.flat[0] = 0.0
+    for axis, (p, g) in enumerate(zip(bases.primes, box.exponents)):
+        weights = np.empty(E.shape[axis])
+        for v in range(g):
+            weights[:: p**v] = 1.0 / p ** (2 * (g - 1 - v))
+        E *= weights.reshape((-1,) + (1,) * (E.ndim - 1 - axis))
+        lead = (slice(None),) * axis
+        E = np.stack(
+            [E[lead + (slice(None, None, p**v),)].sum(axis=axis) for v in reversed(range(g))],
+            axis=axis,
+        )
+    return E / len(ps) ** 2 / float(weight_mass(bases) - 1)
+
+
+def _ingested_with_duplicates(n, primes):
+    rng = random.Random(n)
+    bases = PrimeBases(primes)
+    rows = [[rng.random() for _ in primes] for _ in range(n - n // 8)]
+    rows += [rows[rng.randrange(len(rows))] for _ in range(n // 8)]
+    return PointSet.from_points([point_from_values(row, bases) for row in rows], bases)
+
+
+BOXED_SUM_CASES = [
+    ((2, 3), (4, 3), 1000, 0),
+    ((2, 3), (10, 6), 8192, 0),
+    ((2, 3), (10, 6), 200000, 0),
+    ((2, 3, 5), (6, 4, 3), 3000, 0),
+    ((2, 3, 5), (2, 2, 1), 3000, 0),
+    ((3, 7, 11), (3, 2, 1), 3000, 2**40),
+    ((2,), (12,), 3000, 0),
+    ((5,), (3,), 100, 0),
+    # a half spectrum of 33 columns over 2187 rows: two column slabs, where
+    # slabs of a fixed 16 columns would leave a 1-column tail
+    ((3, 2), (7, 6), 1234, 0),
+    ((2, 3, 5), (6, 4, 3), "ingested", 0),
+]
+
+
+@pytest.mark.parametrize("primes, exps, n, start", BOXED_SUM_CASES)
+def test_boxed_sums_are_bitwise_the_whole_array_reduction(primes, exps, n, start, monkeypatch):
+    bases = PrimeBases(primes)
+    if n == "ingested":
+        ps = _ingested_with_duplicates(2048, primes)
+    else:
+        ps = halton_set(n, bases, start)
+    box = TruncationBox(exps)
+    want = _whole_array_boxed_sums(ps, bases, box).tobytes()
+    assert _boxed_sums(ps, bases, box).tobytes() == want
+    # slabs of one rfft row and of 2 to 3 columns, the narrowest allowed
+    monkeypatch.setattr(padiaphony.diaphony, "_SLAB_ENTRIES", 64)
+    monkeypatch.setattr(padiaphony.diaphony, "_SLAB_COLUMNS", 2)
+    assert _boxed_sums(ps, bases, box).tobytes() == want
+
+
+@pytest.mark.parametrize(
+    "primes, exps, n", [((2, 3), (10, 6), 8192), ((2, 3, 5), (6, 4, 3), 2048)]
+)
+def test_boxed_sums_traced_peak_is_at_most_11_bytes_per_box_entry(primes, exps, n):
+    # one half-spectrum buffer of about 8 bytes per entry plus slab
+    # temporaries; a histogram beside its whole transform takes 16
+    bases = PrimeBases(primes)
+    ps = halton_set(n, bases)
+    box = TruncationBox(exps)
+    _boxed_sums(ps, bases, box)  # warms numpy's FFT
+    tracemalloc.start()
+    try:
+        _boxed_sums(ps, bases, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * math.prod(p**g for p, g in zip(primes, exps))
 
 
 def test_weyl_ceiling_check_traced_peak_is_at_most_36_bytes_per_box_entry():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -180,6 +181,48 @@ def test_monna_inverse_examples():
     assert monna_inverse(DigitVector(2, (1, 0, 1))) == 5
     assert monna_inverse(DigitVector(3, ())) == 0
     assert monna_inverse(DigitVector(3, (1, 1))) == 4
+
+
+DIGIT_INT_BASES = [2, 3, 31, 37, 65537]
+
+
+def _horner(digits, p):
+    num = 0
+    for d in digits:
+        num = num * p + d
+    return num
+
+
+def _check_digit_integers(p, digits):
+    x = DigitVector(p, tuple(digits))
+    assert x.value() == Fraction(_horner(x.digits, p), p ** len(x.digits))
+    assert monna_inverse(x) == _horner(x.digits[::-1], p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(DIGIT_INT_BASES).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), max_size=60))
+))
+def test_value_and_monna_inverse_match_the_horner_loop(case):
+    _check_digit_integers(*case)
+
+
+@pytest.mark.parametrize("p", DIGIT_INT_BASES)
+def test_value_and_monna_inverse_of_the_empty_and_a_ten_thousand_digit_vector(p):
+    rng = random.Random(p)
+    digits = [rng.randrange(p) for _ in range(10**4)]
+    digits[-1] = 1  # no trailing zero to trim
+    _check_digit_integers(p, [])
+    _check_digit_integers(p, digits)
+    with_limit = getattr(sys, "set_int_max_str_digits", None)
+    if with_limit is not None:
+        # 640 is the least limit Python accepts on int/str conversion
+        old = sys.get_int_max_str_digits()
+        with_limit(640)
+        try:
+            _check_digit_integers(p, digits)
+        finally:
+            with_limit(old)
 
 
 def test_monna_roundtrip_sampled():
