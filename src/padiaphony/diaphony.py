@@ -2,16 +2,16 @@
 
 The kernel route sums the closed-form pair kernel over all point pairs.
 Its fast mode counts the points sharing each digit cell, in integers, in
-one sorted pass per coordinate; its exact mode adds kernel values over
-unordered pairs in rationals.  For a contiguous Halton segment,
-``halton_diaphony_prefixes`` counts the same pairs in closed form from
-(bases, start, N) alone, by CRT, and builds no point.  All three yield
-the squared diaphony as one exact rational, rounded to float once.  The
-spectral route sums weighted squared Weyl sums over a finite index box
-and adds the exact analytic tail, yielding an enclosure of the squared
-diaphony up to the rounding of the float boxed sum.  On top sit the
-worst-case-error identity, the asymptotic bound for Halton prefixes, and
-the per-index Weyl-sum ceiling check.
+one sorted pass per coordinate; its exact mode adds kernel values in
+rationals over the unordered pairs that share a first-digit cell.  For a
+contiguous Halton segment, ``halton_diaphony_prefixes`` counts the same
+pairs in closed form from (bases, start, N) alone, by CRT, and builds no
+point.  All three yield the squared diaphony as one exact rational,
+rounded to float once.  The spectral route sums weighted squared Weyl
+sums over a finite index box and adds the exact analytic tail, yielding
+an enclosure of the squared diaphony up to the rounding of the float
+boxed sum.  On top sit the worst-case-error identity, the asymptotic
+bound for Halton prefixes, and the per-index Weyl-sum ceiling check.
 
 numpy is imported inside the functions that build arrays, so the closed
 form, the bound and the scalar oracles run without loading it.  The three
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from .errors import BoxTooLarge, CountOverflow, DiaphonyError, SegmentTooLarge, ZeroIndex
 from .halton import DIGIT_CELL_CAP, MAX_INDEX, _check_segment
 from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .kernel import kernel_value
+from .kernel import _first_digit_cell, kernel_value
 from .padic import (
     IndexVector,
     Point,
@@ -447,11 +447,15 @@ def diaphony_kernel(
              table and one walk up the digit levels per coordinate, in
              integer arrays; near-linear in N for well-spread points, any
              bases.  Takes a PointSet or an iterable of Points.
-    exact -- the oracle path: ``kernel_value`` in rationals on each of the
-             N (N + 1) / 2 unordered pairs, the diagonal once and the
-             others twice, since the kernel is symmetric; zero values,
-             from a coordinate sharing no digit, add nothing.  O(N**2).
-             A PointSet is converted to Points once.
+    exact -- the oracle path: ``kernel_value`` in rationals on each point
+             with itself, and on each unordered pair inside a first-digit
+             cell (``_first_digit_cell``: each coordinate's first digit, an
+             empty expansion reading as 0), counted twice since the kernel
+             is symmetric.  Pairs in different cells have kernel 0 and are
+             skipped.  So it costs N + sum_cells C(k, 2) kernel values:
+             about N**2 / (2 prod p_i) for well-spread points, N (N + 1) / 2
+             when all points share one cell.  A PointSet is converted to
+             Points once.
     """
     if mode == "fast":
         ps = PointSet.from_points(points, bases)
@@ -459,13 +463,15 @@ def diaphony_kernel(
     if mode != "exact":
         raise DiaphonyError(f"unknown mode {mode!r}")
     pts = _point_list(points, bases)
+    cells: dict[tuple[int, ...], list[Point]] = {}
+    for x in pts:
+        cells.setdefault(_first_digit_cell(x), []).append(x)
     diagonal = off = Fraction(0)
-    for i, x in enumerate(pts):
-        diagonal += kernel_value(x, x, bases)
-        for y in pts[i + 1 :]:
-            value = kernel_value(x, y, bases)
-            if value:
-                off += value
+    for cell in cells.values():
+        for i, x in enumerate(cell):
+            diagonal += kernel_value(x, x, bases)
+            for y in cell[i + 1 :]:
+                off += kernel_value(x, y, bases)
     return _kernel_report(len(pts), diagonal + 2 * off, weight_mass(bases))
 
 

@@ -4,10 +4,10 @@ In one coordinate the kernel is 1 + c_p(x, y) = (p + 1)(1 - p**-t), where t
 is the number of leading digits x and y share, and p + 1 when x = y.  The
 s-dimensional kernel is the product over coordinates, so it is
 sigma * prod_i (1 - p_i**-t_i) with sigma = prod_i (p_i + 1), and it is zero
-unless every coordinate shares its first digit.  It is discontinuous where
-an expansion changes, so everything is evaluated on exact digit vectors.
-``kernel_value`` holds the one implementation of this rule;
-``centered_kernel_1d`` is its one-coordinate case minus 1.
+unless the points share a first-digit cell (``_first_digit_cell``).  It is
+discontinuous where an expansion changes, so everything is evaluated on
+exact digit vectors.  ``kernel_value`` holds the one implementation of this
+rule; ``centered_kernel_1d`` is its one-coordinate case minus 1.
 """
 
 from __future__ import annotations
@@ -41,6 +41,18 @@ def _shared_digits(x: DigitVector, y: DigitVector) -> int | None:
     while not longer[t]:
         t += 1
     return t
+
+
+def _first_digit_cell(x: Point) -> tuple[int, ...]:
+    """Each coordinate's first digit; an expansion with no digits (the
+    value 0) reads as 0, since it shares its first digit with every
+    expansion that starts with 0.
+
+    ``kernel_value(x, y)`` is 0 whenever x and y lie in different cells: a
+    coordinate whose first digits differ shares no digit, t = 0, and its
+    factor (p + 1)(1 - p**0) is 0.  Within a cell every factor is positive.
+    """
+    return tuple(c.digits[0] if c.digits else 0 for c in x.coords)
 
 
 def centered_kernel_1d(x: DigitVector, y: DigitVector) -> Fraction:

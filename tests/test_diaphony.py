@@ -653,24 +653,124 @@ def test_counting_route_traced_peak_is_at_most_2_5_kib_per_point():
     assert peak <= 2.5 * 2**10 * len(ps)
 
 
-def test_exact_mode_calls_the_kernel_once_per_unordered_pair(monkeypatch):
-    # the oracle's only kernel evaluations go through the module-global name
+def _first_digit_cells(pts):
+    """Indices of the points grouped by each coordinate's first digit,
+    read with ``digit(1)``, which is 0 past an empty expansion."""
+    cells = {}
+    for i, x in enumerate(pts):
+        cells.setdefault(tuple(c.digit(1) for c in x.coords), []).append(i)
+    return cells
+
+
+def test_exact_mode_calls_the_kernel_on_the_diagonal_and_inside_first_digit_cells(
+    monkeypatch,
+):
+    # the oracle's only kernel evaluations go through the module-global name;
+    # it evaluates each point with itself and each pair inside a cell once,
+    # and every pair it skips has kernel 0
     calls = []
     real = padiaphony.diaphony.kernel_value
 
-    def counting(x, y, bases):
-        calls.append(1)
+    def recording(x, y, bases):
+        calls.append((x, y))
         return real(x, y, bases)
 
-    monkeypatch.setattr(padiaphony.diaphony, "kernel_value", counting)
+    monkeypatch.setattr(padiaphony.diaphony, "kernel_value", recording)
     bases = validate_bases([2, 3, 5])
     rng = random.Random(8)
     rows = [[rng.random() for _ in range(3)] for _ in range(20)]
+    # exact zeros beside first digits 0: both rows lie in cell (0, 0, 0)
+    rows += [[0.0, 0.1, 0.0], [0.25, 0.0, 0.1]]
     pts = [point_from_values(row, bases) for row in rows + rows[:3]]
-    for n in (1, 2, 7, len(pts)):
+    index = {id(x): i for i, x in enumerate(pts)}
+    for n in (1, 2, 7, 22, len(pts)):
         calls.clear()
         diaphony_kernel(pts[:n], bases, mode="exact")
-        assert len(calls) == n * (n + 1) // 2
+        sizes = [len(cell) for cell in _first_digit_cells(pts[:n]).values()]
+        assert len(calls) == n + sum(k * (k - 1) // 2 for k in sizes)
+        called = {tuple(sorted((index[id(x)], index[id(y)]))) for x, y in calls}
+        assert len(called) == len(calls)
+        assert {(i, i) for i in range(n)} <= called
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i, j) not in called:
+                    assert real(pts[i], pts[j], bases) == 0
+    assert max(sizes) > 1 and len(sizes) > 1
+
+
+def _zeros_beside_leading_zero_digits():
+    """96 ingested rows in (2, 3, 5), every coordinate below 1/p, so its
+    first digit is 0, and about one in three exactly 0: all rows share cell
+    (0, 0, 0), which an empty expansion must join."""
+    bases = validate_bases([2, 3, 5])
+    rng = random.Random(28)
+    rows = [[0.0 if rng.random() < 1 / 3 else rng.random() / p for p in (2, 3, 5)]
+            for _ in range(96)]
+    return bases, PointSet.from_points([point_from_values(r, bases) for r in rows], bases)
+
+
+@pytest.mark.parametrize(
+    "case, double_sum",
+    [
+        (lambda: _ingested_set(2048, (2, 3, 5), 17), False),
+        (_zeros_beside_leading_zero_digits, True),
+        (lambda: _ingested_set(256, (3, 2, 3), 18), True),
+    ],
+    ids=["ingested-2048", "zeros-beside-leading-zeros", "repeated-base"],
+)
+def test_exact_mode_equals_fast_route_and_ordered_double_sum(case, double_sum):
+    bases, ps = case()
+    exact = diaphony_kernel(ps, bases, mode="exact")
+    assert exact == diaphony_kernel(ps, bases)
+    if double_sum:
+        assert exact == _ordered_double_sum_report(_point_list(ps, bases), bases)
+
+
+def test_exact_mode_equals_the_closed_form_on_a_2048_point_halton_segment():
+    bases, start = validate_bases([2, 3, 5]), 987654
+    exact = diaphony_kernel(halton_set(2048, bases, start), bases, mode="exact")
+    assert exact == diaphony_kernel(list(halton_stream(2048, bases, start)), bases)
+    assert exact == halton_diaphony_prefixes(bases, [2048], start)[0]
+
+
+@st.composite
+def cell_cases(draw):
+    """Up to 14 points in drawn bases, repeats allowed: coordinates exactly 0,
+    with first digit 0, or any, then duplicates and near-duplicates that
+    differ in one digit at a depth of up to 60."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 65537)), min_size=1, max_size=3))
+
+    def coord(p):
+        kind = draw(st.sampled_from(("zero", "leading-zero", "any")))
+        if kind == "zero":
+            return DigitVector(p, ())
+        head = 0 if kind == "leading-zero" else draw(st.integers(0, p - 1))
+        return DigitVector(p, (head, *draw(st.lists(st.integers(0, p - 1), max_size=4))))
+
+    pts = [Point(tuple(coord(p) for p in primes)) for _ in range(draw(st.integers(1, 10)))]
+    for _ in range(draw(st.integers(0, 4))):
+        src = draw(st.sampled_from(pts))
+        if draw(st.booleans()):
+            pts.append(src)
+            continue
+        i = draw(st.integers(0, len(primes) - 1))
+        x = src.coords[i]
+        position = draw(st.integers(1, 60))
+        digit = (x.digit(position) + draw(st.integers(1, x.base - 1))) % x.base
+        pts.append(Point(src.coords[:i] + (_with_digit(x, position, digit),) + src.coords[i + 1:]))
+    return PrimeBases(tuple(primes)), draw(st.permutations(pts))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=cell_cases())
+def test_exact_mode_skips_only_cross_cell_pairs_and_equals_ordered_double_sum(case):
+    bases, pts = case
+    assert diaphony_kernel(pts, bases, mode="exact") == _ordered_double_sum_report(pts, bases)
+    cell = {i: key for key, members in _first_digit_cells(pts).items() for i in members}
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            if cell[i] != cell[j]:
+                assert kernel_value(x, y, bases) == 0
 
 
 CLOSED_FORM_SIZES = [1, 2, 7, 100, 1000, 4097]
