@@ -3,12 +3,14 @@
 The kernel route needs only which digits point pairs share and gives the
 value directly, as one exact rational.  The spectral route truncates the
 defining series to a finite index box and adds the exact analytic tail, so
-it returns an interval instead of a point value.  The interval holds up to
-the float rounding of the boxed sum, so it is not yet rigorous until the
-boxed sum is exact (see ROADMAP); here it contains the kernel answer.
+it returns an interval instead of a point value.  For points the interval
+holds up to the float rounding of the boxed sum; for a Halton segment,
+passed as a ``HaltonSegment``, the boxed sum is exact and the interval
+rigorous.  Here both contain the kernel answer.
 """
 
 from padiaphony import (
+    HaltonSegment,
     TruncationBox,
     diaphony_kernel,
     diaphony_spectral,
@@ -31,6 +33,9 @@ for g in range(1, 9):
     enclosed = diaphony_spectral(points, bases, TruncationBox((g, g)))
     lower, upper = enclosed.enclosure
     print(f"{str((g, g)):>8}  {lower:.10f}  {upper:.10f}  {upper - lower:.2e}")
+
+lower, upper = diaphony_spectral(HaltonSegment(64, bases), bases, TruncationBox((8, 8))).enclosure
+print(f"{'exact':>8}  {lower:.10f}  {upper:.10f}  {upper - lower:.2e}   (the segment, g = (8, 8))")
 
 print(f"\nEvery interval contains the kernel value {report.f_squared:.10f}.")
 print(f"Worst-case integration error of this rule: {worst_case_error(report, bases):.6f}")

@@ -4,7 +4,10 @@ Both formats are written one row at a time, so memory does not grow with
 the row count and no command caps its rows.
 
 Exit status: 0 success, 1 property violation, 2 usage error, 3 resource cap
-(the library's ``BoxTooLarge`` or ``SegmentTooLarge``).
+(the library's ``BoxTooLarge``).  No command builds a Halton point set:
+the kernel diaphony and sweeps use the closed form, and the spectral
+diaphony sums a ``HaltonSegment`` exactly, so any segment in the 64-bit
+index space runs.
 The console script ends at once, by SIGPIPE, when the reader of its output
 goes away (a shell reports 141, as for any program so ended).
 """
@@ -25,8 +28,8 @@ from .diaphony import (
 )
 from .diaphony import diaphony_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .diaphony import diaphony_kernel_prefixes  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .errors import BoxTooLarge, DiaphonyError, DimensionMismatch, SegmentTooLarge
-from .halton import _check_segment, halton_set, halton_stream, validate_bases
+from .errors import BoxTooLarge, DiaphonyError, DimensionMismatch
+from .halton import HaltonSegment, _check_segment, halton_stream, validate_bases
 from .padic import PrimeBases
 from .weights import TruncationBox
 
@@ -150,9 +153,9 @@ def cmd_halton(args) -> int:
 
 def cmd_diaphony(args) -> int:
     if args.method == "spectral":
-        _check_box(args.box, args.bases)  # before any point is built
-        points = halton_set(args.count, args.bases, args.start)
-        report = diaphony_spectral(points, args.bases, args.box)
+        _check_box(args.box, args.bases)  # before the segment is checked
+        segment = HaltonSegment(args.count, args.bases, args.start)
+        report = diaphony_spectral(segment, args.bases, args.box)
     elif args.box is not None:
         raise _UsageError("--g applies to --method spectral")
     else:
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except DiaphonyError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, (BoxTooLarge, SegmentTooLarge)) else 2
+        return 3 if isinstance(exc, BoxTooLarge) else 2
 
 
 def entry() -> None:

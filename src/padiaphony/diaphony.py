@@ -9,18 +9,22 @@ pairs in closed form from (bases, start, N) alone, by CRT, and builds no
 point.  All three yield the squared diaphony as one exact rational,
 rounded to float once.  The spectral route sums weighted squared Weyl
 sums over a finite index box and adds the exact analytic tail, yielding
-an enclosure of the squared diaphony up to the rounding of the float
-boxed sum.  On top sit the worst-case-error identity, the asymptotic
-bound for Halton prefixes, and the per-index Weyl-sum ceiling check.
+an enclosure of the squared diaphony.  For points the boxed sum comes
+from a float transform, so the enclosure holds up to its rounding; for a
+``HaltonSegment`` the boxed sum is counted exactly by the same CRT
+argument, with no point and no transform, and the enclosure is rigorous.
+On top sit the worst-case-error identity, the asymptotic bound for Halton
+prefixes, and the per-index Weyl-sum ceiling check.
 
 numpy is imported inside the functions that build arrays, so the closed
-form, the bound and the scalar oracles run without loading it.  The three
+forms, the bound and the scalar oracles run without loading it.  The three
 reports are slotted immutable records (``padic._Record``), not dataclasses,
 so importing the module loads neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterable
@@ -29,7 +33,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BoxTooLarge, CountOverflow, DiaphonyError, SegmentTooLarge, ZeroIndex
-from .halton import DIGIT_CELL_CAP, MAX_INDEX, _check_segment
+from .halton import DIGIT_CELL_CAP, MAX_INDEX, HaltonSegment, _check_segment
 from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .kernel import _first_digit_cell, kernel_value
 from .padic import (
@@ -40,6 +44,7 @@ from .padic import (
     _as_int,
     _point_list,
     _Record,
+    _require_bases,
     _require_dimension,
     char_product,
     monna,
@@ -624,17 +629,84 @@ def _boxed_sums(ps: PointSet, bases: PrimeBases, box: TruncationBox) -> np.ndarr
     return E / len(ps) ** 2 / float(weight_mass(bases) - 1)
 
 
+def _segment_boxed_sums(
+    seg: HaltonSegment, bases: PrimeBases, box: TruncationBox
+) -> dict[tuple[int, ...], Fraction]:
+    """The exact boxed part of the squared diaphony of a Halton segment for
+    every sub-box g' <= box, keyed by g' in C order, with no point and no
+    transform.
+
+    Summed over the box's index blocks, the weighted characters of one
+    coordinate give the boxed kernel K_g = sum_{1 <= a < g} (p**2 - 1)
+    p**-a I_a + p**(2 - g) I_g, where I_a says whether two points share
+    their first a digits; on the diagonal it is sigma(g) = p + 1 - p**(1 - g).
+    So the boxed sum over all ordered pairs, S_g = sum_k weight(k)
+    |S(k)|**2, is sum_a W_g(a) C(a) over 1 <= a_i <= g_i, with W_g(a) the
+    product of the clipped coordinate weights and C(a) the ordered pairs,
+    diagonal included, sharing a_i digits in every coordinate.  As in
+    ``halton_diaphony_prefixes``, by CRT those are the index pairs equal
+    modulo M(a) = prod_i p_i**a_i: with N = qM + r, C(a) = N + q (N - M + r),
+    whatever the start, so S_g = N sigma(g) + sum_{M(a) <= N} W_g(a)
+    q (N - M + r).  The weights are integers over the common denominator
+    D = prod_i p_i**g_i, the coordinates are contracted one at a time, and
+    the boxed sum (S_g / N**2 - 1) / (sigma - 1) is one exact rational.
+    Segments in other bases raise BaseMismatch, as point sets do.
+    """
+    _require_bases(seg, bases)
+    _check_box(box, bases)
+    n = seg.count
+    sums = {}
+    for a in itertools.product(*(range(1, g + 1) for g in box.exponents)):
+        q, r = divmod(n, math.prod(map(pow, bases.primes, a)))
+        sums[a] = q * (n + r) + r  # N + q (N - M + r)
+    for i, (p, g) in enumerate(zip(bases.primes, box.exponents)):
+        # row h - 1: p**g times the depth-h weights of agreements a = 1..h
+        weights = [
+            [(p * p - 1) * p ** (g - a) for a in range(1, h)] + [p ** (g + 2 - h)]
+            for h in range(1, g + 1)
+        ]
+        sums = {
+            key[:i] + (h,) + key[i + 1 :]: sum(
+                w * sums[key[:i] + (a,) + key[i + 1 :]] for a, w in enumerate(row, start=1)
+            )
+            for key in sums
+            if key[i] == 1
+            for h, row in enumerate(weights, start=1)
+        }
+    scale = n * n * math.prod(map(pow, bases.primes, box.exponents))
+    sig = weight_mass(bases)
+    return {sub: Fraction(total - scale, scale * (sig - 1)) for sub, total in sums.items()}
+
+
+def _float_toward(x: Fraction, toward: float) -> float:
+    """x rounded to a float toward -inf or inf: ``float`` rounds to the
+    nearest, so at most one ``math.nextafter`` step corrects it."""
+    f = float(x)
+    if Fraction(f) != x and (Fraction(f) > x) == (toward < 0):
+        f = math.nextafter(f, toward)
+    return f
+
+
+def _rigorous_enclosure(boxed: Fraction, tail: Fraction) -> tuple[float, float]:
+    """The exact boxed sum rounded down and the exact boxed sum plus tail
+    rounded up."""
+    return _float_toward(boxed, -math.inf), _float_toward(boxed + tail, math.inf)
+
+
 def truncated_spectral_sum(
-    points: PointSet | Iterable[Point],
+    points: HaltonSegment | PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
 ) -> float:
     """The boxed part of the squared diaphony:
     (1/(sigma - 1)) * sum over nonzero boxed k of weight(k) * |S(k)/N|**2.
 
-    ``points`` is a PointSet or an iterable of Points.  The value is the
-    full-box entry of the sub-box sums that ``enclosure_grid`` reads for
-    every sub-box."""
+    ``points`` is a HaltonSegment, a PointSet or an iterable of Points.
+    The value is the full-box entry of the sub-box sums that
+    ``enclosure_grid`` reads for every sub-box: for a segment the exact sum
+    rounded down, and for points the float transform's sum."""
+    if isinstance(points, HaltonSegment):
+        return _float_toward(_segment_boxed_sums(points, bases, box)[box.exponents], -math.inf)
     ps = PointSet.from_points(points, bases)
     return float(_boxed_sums(ps, bases, box)[(-1,) * bases.dimension])
 
@@ -646,24 +718,36 @@ def spectral_tail(bases: PrimeBases, box: TruncationBox) -> Fraction:
 
 
 def diaphony_spectral(
-    points: PointSet | Iterable[Point],
+    points: HaltonSegment | PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
 ) -> DiaphonyReport:
     """Diaphony via truncated spectral sums, with an enclosure.
 
-    ``points`` is a PointSet or an iterable of Points.  ``lower`` is the
-    boxed sum (``truncated_spectral_sum``); ``upper`` adds the exact
-    analytic tail.  The exact squared diaphony lies between the exact boxed
-    sum and that sum plus the tail, but ``lower`` is a float sum that can
-    round a few ulps above the exact boxed sum, so the enclosure holds up to
-    that rounding, not rigorously.  The reported point value is the
-    midpoint of the enclosure, below 1: the exact boxed sum is at most
-    1 - tail, and every box within ENUMERATION_CAP has tail > 1e-7.
-    The transform is held in one half-spectrum buffer of about 8 bytes per
-    box entry; the traced peak is 8.6 bytes per entry at (2,3), g = (10,6)
-    and 9.7 at (2,3,5), g = (6,4,3) (see ``_boxed_sums``).
+    ``points`` is a HaltonSegment, a PointSet or an iterable of Points.
+    ``lower`` is the boxed sum (``truncated_spectral_sum``); ``upper`` adds
+    the exact analytic tail.  The exact squared diaphony lies between the
+    exact boxed sum and that sum plus the tail.
+
+    For a segment the boxed sum is exact (``_segment_boxed_sums``), for any
+    count up to the index space: ``lower`` is that sum rounded down,
+    ``upper`` the exact sum plus tail rounded up, and the point value their
+    exact midpoint rounded once, so the enclosure is rigorous and the
+    report needs no numpy.  For points ``lower`` is a float sum that can round a
+    few ulps above the exact boxed sum, so the enclosure holds up to that
+    rounding, not rigorously; the point value is lower + tail / 2.  It is
+    below 1: the exact boxed sum is at most 1 - tail, and every box within
+    ENUMERATION_CAP has tail > 1e-7.  The transform is held in one
+    half-spectrum buffer of about 8 bytes per box entry; the traced peak is
+    8.6 bytes per entry at (2,3), g = (10,6) and 9.7 at (2,3,5),
+    g = (6,4,3) (see ``_boxed_sums``).
     """
+    if isinstance(points, HaltonSegment):
+        boxed = _segment_boxed_sums(points, bases, box)[box.exponents]
+        tail = spectral_tail(bases, box)
+        f_squared = float(boxed + tail / 2)
+        return DiaphonyReport(points.count, math.sqrt(f_squared), f_squared, "spectral",
+                              enclosure=_rigorous_enclosure(boxed, tail), box=box)
     ps = PointSet.from_points(points, bases)
     lower = truncated_spectral_sum(ps, bases, box)
     tail = float(spectral_tail(bases, box))
@@ -673,20 +757,26 @@ def diaphony_spectral(
 
 
 def enclosure_grid(
-    points: PointSet | Iterable[Point],
+    points: HaltonSegment | PointSet | Iterable[Point],
     bases: PrimeBases,
     box: TruncationBox,
 ) -> dict[tuple[int, ...], tuple[float, float]]:
     """Enclosures for every sub-box g' <= box, from a single transform.
 
-    ``points`` is a PointSet or an iterable of Points.  Weyl sums and index
-    weights do not depend on the box, and in frequency order sub-box g' is
-    the nested slice of the frequencies that p**(g - g') divides on each
-    axis, so one weighted spectrum gives every sub-box's boxed sum; the
-    entry for ``box`` itself reads the value ``truncated_spectral_sum``
-    returns, so it equals ``diaphony_spectral(points, bases, box).enclosure``
-    bitwise.
+    ``points`` is a HaltonSegment, a PointSet or an iterable of Points.
+    Weyl sums and index weights do not depend on the box, and in frequency
+    order sub-box g' is the nested slice of the frequencies that
+    p**(g - g') divides on each axis, so one weighted spectrum gives every
+    sub-box's boxed sum; a segment's exact sums come from one contraction
+    instead.  The entry for ``box`` itself reads the value
+    ``truncated_spectral_sum`` returns, so it equals
+    ``diaphony_spectral(points, bases, box).enclosure`` bitwise.
     """
+    if isinstance(points, HaltonSegment):
+        return {
+            sub: _rigorous_enclosure(boxed, spectral_tail(bases, TruncationBox(sub)))
+            for sub, boxed in _segment_boxed_sums(points, bases, box).items()
+        }
     import numpy as np
 
     lowers = _boxed_sums(PointSet.from_points(points, bases), bases, box)

@@ -1,13 +1,15 @@
-"""Exact generation of Halton points in pairwise-distinct prime bases."""
+"""Exact generation of Halton points in pairwise-distinct prime bases, and
+``HaltonSegment``, a checked segment of them that builds no point."""
 
 from __future__ import annotations
 
 from typing import Iterator
 
 from .errors import CountOverflow, DiaphonyError, SegmentTooLarge
-from .padic import DigitVector, Point, PointSet, PrimeBases, _as_int, monna
+from .padic import DigitVector, Point, PointSet, PrimeBases, _as_int, _Record, monna
 
-__all__ = ["MAX_INDEX", "validate_bases", "halton_point", "halton_stream", "halton_set"]
+__all__ = ["MAX_INDEX", "HaltonSegment", "validate_bases", "halton_point", "halton_stream",
+           "halton_set"]
 
 # Indices are confined to 64 bits; larger ranges are rejected, not wrapped.
 MAX_INDEX = 2**63 - 1
@@ -43,6 +45,25 @@ def _check_segment(count: int, start: int) -> tuple[int, int]:
             f"indices up to {start + count - 1} exceed the supported range"
         )
     return count, start
+
+
+class HaltonSegment(_Record):
+    """The Halton points start, ..., start + count - 1 in pairwise-distinct
+    prime bases, held as those three numbers: no point is built.
+
+    The arguments are in ``halton_set``'s order and checked once, here.
+    The spectral routes of ``diaphony`` take a segment in place of points
+    and sum it in closed form, for any count up to the index space.
+    """
+
+    __slots__ = ("count", "bases", "start")
+
+    def __init__(self, count: int, bases: PrimeBases, start: int = 0):
+        if not isinstance(bases, PrimeBases):
+            raise DiaphonyError(f"bases must be PrimeBases, got {type(bases).__name__}")
+        bases.require_distinct()
+        count, start = _check_segment(count, start)
+        self._set(count, bases, start)
 
 
 def halton_stream(count: int, bases: PrimeBases, start: int = 0) -> Iterator[Point]:

@@ -30,6 +30,8 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
+    from .halton import HaltonSegment
+
 __all__ = [
     "DigitVector",
     "Point",
@@ -282,24 +284,33 @@ class PrimeBases(_Record):
             seen.add(p)
 
 
-def _require_bases(ps: PointSet, bases: PrimeBases) -> None:
+def _require_bases(ps: PointSet | HaltonSegment, bases: PrimeBases) -> None:
     if ps.bases != bases:
-        raise BaseMismatch(f"point set bases {ps.bases.primes} != {bases.primes}")
+        raise BaseMismatch(f"{type(ps).__name__} bases {ps.bases.primes} != {bases.primes}")
 
 
 def _point_list(points, bases: PrimeBases) -> list[Point]:
     """The points as a nonempty list, each checked against the bases.  A
-    PointSet in these bases becomes one Point per digit row."""
+    PointSet in these bases becomes one Point per digit row; anything that
+    is neither a PointSet nor an iterable of Points is rejected."""
     if isinstance(points, PointSet):
         _require_bases(points, bases)
         rows = zip(*(m.tolist() for m in points.digits))
         return [
             Point(tuple(map(DigitVector._trusted, bases.primes, row))) for row in rows
         ]
-    pts = list(points)
+    try:
+        items = iter(points)
+    except TypeError:
+        raise DiaphonyError(
+            f"points must be a PointSet or an iterable of Points, not {type(points).__name__}"
+        ) from None
+    pts = list(items)
     if not pts:
         raise DiaphonyError("at least one point is required")
     for pt in pts:
+        if not isinstance(pt, Point):
+            raise DiaphonyError(f"points must be Points, not {type(pt).__name__}")
         _require_dimension("point", pt.dimension, bases)
         for c, p in zip(pt.coords, bases.primes):
             if c.base != p:

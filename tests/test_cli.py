@@ -197,9 +197,9 @@ def test_verify_lemma_box_cap(capsys):
         ("diaphony", "--bases", "2", "--count", "1", "--method", "spectral",
          "--g", "1000000"),
         ("verify-lemma", "--bases", "2,3", "--count", "1", "--g", "1000000,1"),
-        # a segment whose digit arrays would pass the cell cap
-        ("diaphony", "--bases", "2", "--count", str(2**62), "--method", "spectral",
-         "--g", "1"),
+        # a count at the end of the index space does not get past the box cap
+        ("diaphony", "--bases", "2,3", "--count", str(2**62), "--method", "spectral",
+         "--g", "1000000,1"),
     ],
 )
 def test_huge_box_is_a_resource_cap_error(capsys, argv):
@@ -207,6 +207,20 @@ def test_huge_box_is_a_resource_cap_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "cap" in err
+
+
+@pytest.mark.parametrize("bases, g", [("2", "1"), ("2", "21"), ("2,3", "12,6"), ("2,3,5", "6,4,3")])
+@pytest.mark.parametrize("count", [2**62, 2**63 - 1])
+def test_spectral_segment_at_the_end_of_the_index_space_runs(capsys, bases, g, count):
+    # the segment is summed in closed form, so no point is built at any count
+    code, out, err = run(capsys, "diaphony", "--bases", bases, "--count", str(count),
+                         "--method", "spectral", "--g", g)
+    assert (code, err) == (0, "")
+    n, _, f2, _, lower, upper = out.splitlines()[1].split(",")
+    assert int(n) == count and float(lower) <= float(f2) <= float(upper)
+    code, out, _ = run(capsys, "diaphony", "--bases", bases, "--count", str(count))
+    assert code == 0
+    assert float(lower) <= float(out.splitlines()[1].split(",")[2]) <= float(upper)
 
 
 @pytest.mark.parametrize("bases, g", [("2", "1"), ("2,3", "8,5")])
@@ -245,10 +259,10 @@ def test_bases_past_the_float_range_of_sigma_exit_0(argv):
 
 
 def test_spectral_box_is_checked_before_points_are_built(capsys, monkeypatch):
-    def no_points(*args):
-        raise AssertionError("points built before the box check")
+    def no_sums(*args):
+        raise AssertionError("the segment summed before the box check")
 
-    monkeypatch.setattr("padiaphony.cli.halton_set", no_points)
+    monkeypatch.setattr("padiaphony.diaphony._segment_boxed_sums", no_sums)
     code, out, err = run(capsys, "diaphony", "--bases", "2", "--count", "1000000",
                          "--method", "spectral", "--g", "23")
     assert code == 3
@@ -464,7 +478,11 @@ def test_kernel_cli_path_does_not_import_numpy():
         "for argv in (['bound', '--dim', '4', '--count', '2048'],\n"
         "             ['diaphony', '--dim', '4', '--count', '2048', '--start', '1234567'],\n"
         "             ['sweep', '--bases', '2,3', '--from', '1', '--to', '4096', '--step', 'pow2'],\n"
-        "             ['halton', '--bases', '2,3', '--count', '8']):\n"
+        "             ['halton', '--bases', '2,3', '--count', '8'],\n"
+        "             ['diaphony', '--bases', '2,3', '--count', '8192', '--method', 'spectral',\n"
+        "              '--g', '10,6', '--start', '1234567'],\n"
+        "             ['diaphony', '--dim', '3', '--count', str(2**63 - 1), '--method', 'spectral',\n"
+        "              '--g', '6,4,3']):\n"
         "    assert main(argv) == 0, argv\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
@@ -526,11 +544,11 @@ def test_no_run_loads_dataclasses_and_numpy_free_runs_load_no_inspect():
         "loaded = run(['bound', '--dim', '4', '--count', '2048'],\n"
         "             ['diaphony', '--dim', '4', '--count', '2048', '--start', '1234567'],\n"
         "             ['sweep', '--bases', '2,3', '--from', '1', '--to', '4096', '--step', 'pow2'],\n"
-        "             ['halton', '--bases', '2,3', '--count', '8'])\n"
+        "             ['halton', '--bases', '2,3', '--count', '8'],\n"
+        "             ['diaphony', '--bases', '2,3', '--count', '64',\n"
+        "              '--method', 'spectral', '--g', '4,3'])\n"
         "assert not loaded, loaded\n"
-        "loaded = run(['diaphony', '--bases', '2,3', '--count', '64',\n"
-        "              '--method', 'spectral', '--g', '4,3'],\n"
-        "             ['verify-lemma', '--bases', '2,3', '--count', '64', '--g', '4,3'])\n"
+        "loaded = run(['verify-lemma', '--bases', '2,3', '--count', '64', '--g', '4,3'])\n"
         "assert 'dataclasses' not in loaded, loaded\n"
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Diaphony engines: spot values, cross-checks between routes, bounds."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -21,6 +22,7 @@ from padiaphony import (
     DigitVector,
     DimensionMismatch,
     DuplicateBase,
+    HaltonSegment,
     IndexVector,
     Point,
     PointSet,
@@ -29,6 +31,7 @@ from padiaphony import (
     TruncationBox,
     ZeroIndex,
     block_weight_product,
+    char_phase_total,
     char_product,
     default_depth,
     diaphony_kernel,
@@ -64,6 +67,7 @@ from padiaphony.diaphony import (
     _first_near_max,
     _kernel_report,
     _lcp_intervals,
+    _segment_boxed_sums,
 )
 from padiaphony.padic import _point_list
 
@@ -1240,6 +1244,131 @@ def test_weyl_sum_takes_a_point_set():
     pts = list(halton_stream(8, bases))
     for k in ((0, 0), (1, 0), (3, 2), (5, 7)):
         assert weyl_sum(ps, IndexVector(k), bases) == weyl_sum(pts, IndexVector(k), bases)
+
+
+def test_routes_reject_what_is_not_points():
+    seg, box, k = HaltonSegment(4, B23), TruncationBox((2, 2)), IndexVector((1, 1))
+    spectral = {
+        "truncated_spectral_sum": lambda pts: truncated_spectral_sum(pts, B23, box),
+        "diaphony_spectral": lambda pts: diaphony_spectral(pts, B23, box),
+        "enclosure_grid": lambda pts: enclosure_grid(pts, B23, box),
+    }
+    points_only = {
+        "PointSet.from_points": lambda pts: PointSet.from_points(pts, B23),
+        "weyl_sum": lambda pts: weyl_sum(pts, k, B23),
+        "weyl_sum_table": lambda pts: weyl_sum_table(pts, B23, box),
+        "diaphony_kernel fast": lambda pts: diaphony_kernel(pts, B23),
+        "diaphony_kernel exact": lambda pts: diaphony_kernel(pts, B23, mode="exact"),
+        "diaphony_kernel_prefixes": lambda pts: diaphony_kernel_prefixes(pts, B23, [1]),
+        # these take one point
+        "char_phase_total": lambda x: char_phase_total(k, x, B23),
+        "char_product": lambda x: char_product(k, x, B23),
+    }
+    for call in {**spectral, **points_only}.values():
+        for bad in (5, None, [1, 2], "ab", [halton_point(1, B23), 7]):
+            with pytest.raises(DiaphonyError):
+                call(bad)
+    # a segment is taken by the spectral routes alone
+    for call in points_only.values():
+        with pytest.raises(DiaphonyError, match="HaltonSegment"):
+            call(seg)
+    for call in spectral.values():
+        call(seg)
+        with pytest.raises(BaseMismatch):
+            call(HaltonSegment(4, PrimeBases((2, 5))))
+
+
+def _exact_f_squared(n_points, primes):
+    """F_N**2 of any Halton segment of n_points as an exact rational: the
+    kernel sums to N sigma + sum_{M <= N} C q (N - M + r) / M over the
+    moduli M = prod p_i**a_i, all a_i >= 1, with C = prod (p_i**2 - 1) and
+    N = qM + r (see ``halton_diaphony_prefixes``)."""
+    sig = math.prod(p + 1 for p in primes)
+    c = math.prod(p * p - 1 for p in primes)
+    moduli = [1]
+    for p in primes:
+        moduli = [m * p**a for m in moduli for a in range(1, n_points.bit_length() + 1)
+                  if m * p**a <= n_points]
+    total = n_points * sig + sum(
+        Fraction(c * (n_points // m) * (n_points - m + n_points % m), m) for m in moduli
+    )
+    return (total / n_points**2 - 1) / (sig - 1)
+
+
+def _block_weights(bases, box):
+    """block_weight_product(k) over the box, as a float tensor indexed by k."""
+    axes = []
+    for p, g in zip(bases.primes, box.exponents):
+        w = np.ones(p**g)
+        for t in range(1, g):
+            w[p**t :] = float(p) ** (-2 * t)
+        axes.append(w)
+    return math.prod(np.ix_(*axes))
+
+
+@pytest.mark.parametrize(
+    "primes, exps, n_points, start",
+    [
+        ((2, 3), (4, 3), 1000, 2**40),  # N > B
+        ((2, 3), (10, 6), 8192, 1234567),
+        ((2, 3), (10, 6), 200000, 2**40 - 3),
+        ((2, 3, 5), (6, 4, 3), 2048, 1500001),
+        ((3, 7, 11), (3, 2, 1), 500, 12345),
+        ((2,), (21,), 777, 2**40),
+        ((2, 65537), (3, 1), 300, 5),
+        ((2, 3, 5), (2, 2, 1), 3000, 0),  # exact zeros on sub-boxes that divide N
+    ],
+)
+def test_segment_route_is_exact_on_every_sub_box(primes, exps, n_points, start):
+    bases, box = validate_bases(primes), TruncationBox(exps)
+    seg = HaltonSegment(n_points, bases, start)
+    exact = _segment_boxed_sums(seg, bases, box)
+    assert list(exact) == list(itertools.product(*(range(1, g + 1) for g in exps)))
+    for other in (0, 1, start + 1, 2**40):
+        assert _segment_boxed_sums(HaltonSegment(n_points, bases, other), bases, box) == exact
+    fft = _boxed_sums(halton_set(n_points, bases, start), bases, box)
+    abs_s, _ = _geometric_sums(n_points, bases, box)
+    energy = _block_weights(bases, box) * abs_s**2
+    energy.flat[0] = 0.0  # the origin is not a nonzero k
+    sig = weight_mass(bases)
+    f_squared = _exact_f_squared(n_points, primes)
+    assert float(f_squared) == halton_diaphony_prefixes(bases, [n_points], start)[0].f_squared
+    grid = enclosure_grid(seg, bases, box)
+    assert list(grid) == list(exact)
+    for sub, boxed in exact.items():
+        got = float(fft[tuple(g - 1 for g in sub)])
+        if boxed:
+            assert abs(got - boxed) <= 1e-14 * boxed
+        else:
+            assert 0.0 <= got <= 1e-30
+        corner = tuple(slice(0, p**g) for p, g in zip(primes, sub))
+        geometric = energy[corner].sum() / n_points**2 / (sig - 1)
+        assert abs(geometric - boxed) <= 1e-12 * boxed
+        sub_box = TruncationBox(sub)
+        rep = diaphony_spectral(seg, bases, sub_box)
+        lower, upper = rep.enclosure
+        tail = spectral_tail(bases, sub_box)
+        assert Fraction(lower) <= boxed <= f_squared <= boxed + tail <= Fraction(upper)
+        # each end is the nearest float on its side
+        assert Fraction(math.nextafter(lower, math.inf)) > boxed
+        assert Fraction(math.nextafter(upper, -math.inf)) < boxed + tail
+        assert rep.f_squared == float(boxed + tail / 2) and rep.f == math.sqrt(rep.f_squared)
+        assert (rep.n_points, rep.method, rep.box) == (n_points, "spectral", sub_box)
+        assert grid[sub] == rep.enclosure
+        assert truncated_spectral_sum(seg, bases, sub_box) == lower
+
+
+@pytest.mark.parametrize("count", [2**62, MAX_INDEX])
+def test_segment_enclosure_holds_at_the_end_of_the_index_space(count):
+    bases, box = validate_bases((2, 3)), TruncationBox((12, 6))
+    seg = HaltonSegment(count, bases)
+    rep = diaphony_spectral(seg, bases, box)
+    assert enclosure_grid(seg, bases, box)[box.exponents] == rep.enclosure
+    lower, upper = rep.enclosure
+    assert 0.0 <= lower <= rep.f_squared <= upper < 1.0
+    assert lower <= halton_diaphony_prefixes(bases, [count])[0].f_squared <= upper
+    with pytest.raises(BoxTooLarge):
+        diaphony_spectral(seg, bases, TruncationBox((12, 7)))
 
 
 # --- identities and bounds

@@ -2,8 +2,9 @@
 the stdout, stderr and exit status that ``cli.main`` gave for it.
 
 The cases cover the commands whose bytes need no FFT: Halton points, the
-closed-form kernel diaphony, the bound, sweeps, and every usage and cap
-error the package words itself (argparse words its own errors, and that
+closed-form kernel diaphony, the spectral diaphony of a Halton segment (one
+exact value per field, rounded once), the bound, sweeps, and every usage
+and cap error the package words itself (argparse words its own errors, and that
 wording differs between Python versions).  To add a case, write a file
 holding only its ``argv``.  ``PYTHONPATH=src python tests/test_golden.py``
 rewrites every file from the current code; say in CHANGES.md which bytes

@@ -1,5 +1,7 @@
 """Halton generation: exactness, validation, distinctness, marginals."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +12,14 @@ from hypothesis import strategies as st
 from padiaphony import (
     MAX_INDEX,
     CountOverflow,
+    DiaphonyError,
     DigitVector,
     DuplicateBase,
     EmptyBases,
+    HaltonSegment,
     NonPrimeBase,
     PointSet,
+    PrimeBases,
     SegmentTooLarge,
     halton_point,
     halton_set,
@@ -192,3 +197,26 @@ def test_stream_equals_points_across_carries(primes):
 @example(case=(validate_bases([3, 2]), 9, 0))
 def test_stream_equals_points(case):
     _assert_stream_matches_points(*case)
+
+
+def test_segment_is_checked_once_and_is_an_immutable_value():
+    bases = validate_bases([2, 3])
+    seg = HaltonSegment(np.int64(5), bases, start=np.int64(7))
+    assert (seg.count, seg.bases, seg.start) == (5, bases, 7)
+    assert type(seg.count) is int and type(seg.start) is int
+    assert seg == HaltonSegment(5, bases, 7) and hash(seg) == hash(HaltonSegment(5, bases, 7))
+    assert seg != HaltonSegment(5, bases) and HaltonSegment(1, bases).start == 0
+    assert pickle.loads(pickle.dumps(seg)) == seg == copy.deepcopy(seg)
+    with pytest.raises(AttributeError):
+        seg.count = 6
+    assert HaltonSegment(1, bases, MAX_INDEX).start == MAX_INDEX
+    with pytest.raises(CountOverflow):
+        HaltonSegment(2, bases, MAX_INDEX)
+    with pytest.raises(DuplicateBase):
+        HaltonSegment(2, PrimeBases((3, 3)))
+    for count, start, match in ((0, 0, "count"), (1, -1, "start"), (2.5, 0, "not an integer"),
+                                (1, "0", "not an integer")):
+        with pytest.raises(DiaphonyError, match=match):
+            HaltonSegment(count, bases, start)
+    with pytest.raises(DiaphonyError, match="PrimeBases"):
+        HaltonSegment(2, (2, 3))
