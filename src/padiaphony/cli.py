@@ -7,7 +7,8 @@ Exit status: 0 success, 1 property violation, 2 usage error, 3 resource cap
 (the library's ``BoxTooLarge``).  No command builds a Halton point set:
 the kernel diaphony and sweeps use the closed form, and the spectral
 diaphony sums a ``HaltonSegment`` exactly, so any segment in the 64-bit
-index space runs.
+index space runs.  ``verify-lemma`` evaluates each Weyl sum in closed
+form, so no command loads numpy.
 The console script ends at once, by SIGPIPE, when the reader of its output
 goes away (a shell reports 141, as for any program so ended).
 """

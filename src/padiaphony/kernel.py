@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BaseMismatch, DimensionMismatch
+from .errors import BaseMismatch, DiaphonyError, DimensionMismatch
 from .padic import DigitVector, Point, PrimeBases
 
 __all__ = ["centered_kernel_1d", "kernel_value"]
@@ -63,6 +63,9 @@ def centered_kernel_1d(x: DigitVector, y: DigitVector) -> Fraction:
     read as zero): ``kernel_value`` on the one-coordinate points in x's
     base, minus 1, so a y in another base raises its BaseMismatch.
     """
+    for v in (x, y):
+        if not isinstance(v, DigitVector):
+            raise DiaphonyError(f"coordinates must be DigitVectors, not {type(v).__name__}")
     return kernel_value(Point((x,)), Point((y,)), PrimeBases((x.base,))) - 1
 
 
@@ -74,6 +77,9 @@ def kernel_value(x: Point, y: Point, bases: PrimeBases) -> Fraction:
     is built at the end.  A coordinate sharing no digit gives 0 at once,
     as one shared Fraction.
     """
+    for v in (x, y):
+        if not isinstance(v, Point):
+            raise DiaphonyError(f"points must be Points, not {type(v).__name__}")
     if not (len(x.coords) == len(y.coords) == len(bases.primes)):
         raise DimensionMismatch(
             f"points ({len(x.coords)}, {len(y.coords)}) and bases "

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -64,7 +65,6 @@ from padiaphony.diaphony import (
     ENUMERATION_CAP,
     _boxed_sums,
     _check_box,
-    _first_near_max,
     _kernel_report,
     _lcp_intervals,
     _segment_boxed_sums,
@@ -217,6 +217,11 @@ def test_halton_weyl_table_is_a_geometric_sum(primes, exps, n_points, start):
         ((2, 3), (8, 5), 100003),
         ((2, 3, 5), (6, 4, 3), 2048),
         ((7, 11), (3, 2), 777),
+        # small even r: the longest scans, and 10-32 distinct t within a
+        # relative 1e-9 of the largest ratio
+        ((2,), (20,), 2),
+        ((2, 3), (10, 6), 2),
+        ((2, 3), (10, 6), 4),
     ],
 )
 def test_weyl_ceiling_ratio_equals_the_geometric_sum_oracle(primes, exps, n_points):
@@ -225,7 +230,12 @@ def test_weyl_ceiling_ratio_equals_the_geometric_sum_oracle(primes, exps, n_poin
     ratio = abs_s * dist
     ratio.flat[0] = -1.0
     expected = ratio.max()
-    assert abs(verify_weyl_bound(n_points, bases, box).worst_ratio - expected) <= 1e-12 * expected
+    rep = verify_weyl_bound(n_points, bases, box)
+    assert abs(rep.worst_ratio - expected) <= 1e-12 * expected
+    # the first k in C order within a relative 1e-9 of the largest ratio
+    first = np.unravel_index(np.argmax(ratio >= expected - 1e-9 * expected), ratio.shape)
+    assert rep.worst_index.indices == tuple(int(i) for i in first)
+    assert rep.violations == int((ratio > 1.0 + RATIO_TOLERANCE).sum()) == 0
 
 
 @st.composite
@@ -1111,8 +1121,8 @@ def test_boxed_sums_traced_peak_is_at_most_11_bytes_per_box_entry(primes, exps, 
 
 
 def test_weyl_ceiling_check_traced_peak_is_at_most_36_bytes_per_box_entry():
-    # the check reads |S| and the phases in frequency order; a k-indexed
-    # table, its reversal gather and a second numerator grid would take 48
+    # the check evaluates each Weyl sum in closed form and builds no grid;
+    # the FFT check it replaced peaked at about 25 bytes per entry here
     box = TruncationBox((10, 6))
     verify_weyl_bound(8192, B23, box)  # fills the caches
     tracemalloc.start()
@@ -1126,7 +1136,7 @@ def test_weyl_ceiling_check_traced_peak_is_at_most_36_bytes_per_box_entry():
 
 @pytest.mark.parametrize("n_points", [2**62, 9 * 2**10 * 3**6 - 1])
 def test_weyl_ceiling_check_costs_one_period_of_index_arithmetic_at_any_count(n_points):
-    # the cells of the first N mod B indices, as int32, and no point: at
+    # only N mod B enters the closed form, and no point is built: at
     # N = 9B - 1 the remainder B - 1 is the largest one period holds
     box = TruncationBox((10, 6))
     verify_weyl_bound(n_points, B23, box)  # fills the caches
@@ -1137,6 +1147,21 @@ def test_weyl_ceiling_check_costs_one_period_of_index_arithmetic_at_any_count(n_
     finally:
         tracemalloc.stop()
     assert peak <= 36 * 2**10 * 3**6
+
+
+@pytest.mark.parametrize("n_points, exps", [(2**62, (12, 6)), (2, (8, 5))])
+def test_weyl_ceiling_check_memory_does_not_grow_with_the_box(n_points, exps):
+    # the scan holds only the near-max t, even over the B / 4 steps of r = 2;
+    # the FFT check peaked at about 75 MB at g = (12, 6)
+    box = TruncationBox(exps)
+    verify_weyl_bound(n_points, B23, box)  # fills the caches
+    tracemalloc.start()
+    try:
+        verify_weyl_bound(n_points, B23, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 1024
 
 
 def test_truncated_spectral_sum_systems_agree_at_equal_bases():
@@ -1537,6 +1562,45 @@ def _ceiling_check_oracle(n_points, bases, box):
     return worst_ratio, worst_index, violations
 
 
+# 40 digits of pi, for the Decimal closed form of the ceiling ratio
+_PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def _decimal_sin(x):
+    """sin(x) for 0 <= x <= pi/2 by its Taylor series, in the current context."""
+    term = total = x
+    n = 1
+    while abs(term) > Decimal(10) ** -45:
+        term = -term * x * x / ((2 * n) * (2 * n + 1))
+        total += term
+        n += 1
+    return total
+
+
+def _decimal_worst_ratio(n_points, bases, box):
+    """The largest |S(k)| * ||theta(k)|| over the nonzero k of the box, from
+    the closed form sin(pi ||r t / B||) / sin(pi t / B) * t / B over
+    t = 1..B/2, r = N mod B, in 40-digit Decimal."""
+    B = math.prod(p**g for p, g in zip(bases.primes, box.exponents))
+    r = n_points % B
+    with localcontext() as ctx:
+        ctx.prec = 40
+        best = Decimal(0)
+        for t in range(1, B // 2 + 1):
+            s = r * t % B
+            num = _decimal_sin(_PI_40 * min(s, B - s) / B)
+            best = max(best, num / _decimal_sin(_PI_40 * t / B) * t / B)
+        return float(best)
+
+
+def _remainder_cases(primes, exps):
+    """N = r for the remainders that stress the scan: its longest runs at
+    small r and the near-ties of r near B/2 and B."""
+    B = math.prod(p**g for p, g in zip(primes, exps))
+    rs = (1, 2, B // 2 - 1, B // 2, B // 2 + 1, B - 2, B - 1)
+    return [(r, primes, exps) for r in sorted(set(rs))]
+
+
 @pytest.mark.parametrize(
     "n_points, primes, exps",
     [
@@ -1552,17 +1616,24 @@ def _ceiling_check_oracle(n_points, bases, box):
         (300, (2,), (6,)),
         (1000, (2, 3), (2, 2)),
         (869, (2, 3), (4, 3)),
-    ],
+    ]
+    + _remainder_cases((2, 3), (4, 3))
+    # odd B, where no t is its own mirror B - t
+    + _remainder_cases((3, 5), (3, 2))
+    + _remainder_cases((3, 7, 11), (2, 1, 1))
+    + [(432 + 2, (2, 3), (4, 3)), (3 * 675 + 337, (3, 5), (3, 2))],
 )
 def test_verify_weyl_bound_equals_fraction_loop(n_points, primes, exps):
+    # the check evaluates each sum in closed form and the oracle transforms
+    # all N points, so their worst ratios round apart; the closed form is
+    # held to a few ulp of the same formula in 40 digits
     bases, box = validate_bases(primes), TruncationBox(exps)
     rep = verify_weyl_bound(n_points, bases, box)
     worst_ratio, worst_index, violations = _ceiling_check_oracle(n_points, bases, box)
     assert (rep.worst_index.indices, rep.violations) == (worst_index, violations)
-    if n_points <= math.prod(p**g for p, g in zip(primes, exps)):
-        assert rep.worst_ratio == worst_ratio
-    else:  # the oracle transforms all N points, so the sums round apart
-        assert abs(rep.worst_ratio - worst_ratio) <= 1e-12 * worst_ratio
+    assert abs(rep.worst_ratio - worst_ratio) <= 1e-12 * worst_ratio
+    exact = _decimal_worst_ratio(n_points, bases, box)
+    assert abs(rep.worst_ratio - exact) <= 8 * math.ulp(exact)
     if (n_points, primes) == (1, (3,)):
         assert rep.worst_index.indices == (4,)
 
@@ -1589,18 +1660,12 @@ def test_weyl_ceiling_check_reads_exact_zeros_when_the_box_divides_n(
     n_points, primes, exps, first
 ):
     # B | N: every cell holds N / B points, so every nonzero Weyl sum is 0,
-    # and no FFT round-off picks the worst index
+    # and the check reports exact zeros with no scan
     rep = verify_weyl_bound(n_points, validate_bases(primes), TruncationBox(exps))
     assert (rep.worst_ratio, rep.worst_index.indices, rep.violations) == (0.0, first, 0)
 
 
 def test_worst_index_does_not_follow_the_last_bit_of_a_tie():
-    r = 0.49506107445618286
-    for a, b in ((r, np.nextafter(r, 1.0)), (np.nextafter(r, 1.0), r)):
-        ratio = np.full((3, 4), 0.25)
-        ratio[0, 0] = -1.0
-        ratio[1, 2], ratio[2, 1] = a, b
-        assert _first_near_max(ratio) == (1, 2)
     # (5, 0, 14) and (6, 0, 15) are a conjugate pair with equal exact ratios
     rep = verify_weyl_bound(100, validate_bases([2, 3, 5]), TruncationBox((4, 3, 2)))
     assert rep.worst_index.indices == (5, 0, 14)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from padiaphony import (
     BaseMismatch,
+    DiaphonyError,
     DigitVector,
     DimensionMismatch,
     Point,
@@ -179,6 +180,20 @@ def test_kernel_value_dimension_errors():
         kernel_value(x, Point((DigitVector(2),)), bases)
     with pytest.raises(BaseMismatch):
         kernel_value(x, Point((DigitVector(2), DigitVector(5))), bases)
+
+
+def test_kernel_value_rejects_what_is_not_a_point():
+    x = Point((DigitVector(2, (1,)),))
+    for a, b in ((5, 5), (x, 5), (5, x), (x, DigitVector(2, (1,)))):
+        with pytest.raises(DiaphonyError, match="points must be Points"):
+            kernel_value(a, b, PrimeBases((2,)))
+
+
+def test_centered_kernel_rejects_what_is_not_a_digit_vector():
+    x = DigitVector(2, (1,))
+    for a, b in ((5, 5), (x, 0.5), (0.5, x), (x, Point((x,)))):
+        with pytest.raises(DiaphonyError, match="coordinates must be DigitVectors"):
+            centered_kernel_1d(a, b)
 
 
 def test_kernel_symmetry():
