@@ -47,6 +47,7 @@ from .padic import (
     _point_list,
     _Record,
     _require_bases,
+    _require_prime_bases,
     _require_dimension,
     char_product,
     monna,
@@ -464,8 +465,10 @@ def diaphony_kernel(
              is symmetric.  Pairs in different cells have kernel 0 and are
              skipped.  So it costs N + sum_cells C(k, 2) kernel values:
              about N**2 / (2 prod p_i) for well-spread points, N (N + 1) / 2
-             when all points share one cell.  A PointSet is converted to
-             Points once.
+             when all points share one cell.  The numerators of the
+             kernel values are summed in integers per denominator, and
+             one Fraction is built per distinct denominator.  A PointSet
+             is converted to Points once.
     """
     if mode == "fast":
         ps = PointSet.from_points(points, bases)
@@ -476,13 +479,15 @@ def diaphony_kernel(
     cells: dict[tuple[int, ...], list[Point]] = {}
     for x in pts:
         cells.setdefault(_first_digit_cell(x), []).append(x)
-    diagonal = off = Fraction(0)
+    numerators: dict[int, int] = {}  # kernel denominator -> weighted numerator sum
     for cell in cells.values():
         for i, x in enumerate(cell):
-            diagonal += kernel_value(x, x, bases)
-            for y in cell[i + 1 :]:
-                off += kernel_value(x, y, bases)
-    return _kernel_report(len(pts), diagonal + 2 * off, weight_mass(bases))
+            for j, y in enumerate(cell[i:]):
+                k = kernel_value(x, y, bases)
+                weight = 2 if j else 1  # a pair of two points stands for both orders
+                numerators[k.denominator] = numerators.get(k.denominator, 0) + weight * k.numerator
+    pair_sum = sum(Fraction(num, den) for den, num in numerators.items())
+    return _kernel_report(len(pts), pair_sum, weight_mass(bases))
 
 
 def _cell_moduli(primes: tuple[int, ...], limit: int) -> list[int]:
@@ -519,7 +524,7 @@ def halton_diaphony_prefixes(
     the start; it is summed in integers over the common denominator
     lcm(M(a) <= max(sizes)), and rounded once per size.
     """
-    bases.require_distinct()
+    _require_prime_bases(bases).require_distinct()
     sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
     if not sizes or min(sizes) < 1:
         raise DiaphonyError("prefix sizes must be a nonempty list of positive integers")
@@ -822,7 +827,7 @@ def halton_diaphony_bound(bases: PrimeBases, n_points: int) -> BoundReport:
     there c and the bound are evaluated from the same factors in
     ``Decimal``, and a value that no float holds raises DiaphonyError.
     """
-    bases.require_distinct()
+    _require_prime_bases(bases).require_distinct()
     n_points = _as_int(n_points, "n_points")
     if n_points < 1:
         raise DiaphonyError("n_points must be at least 1")
@@ -853,7 +858,7 @@ def distance_to_nearest_integer(q: Fraction) -> Fraction:
 def weyl_sum_bound(k: IndexVector, bases: PrimeBases) -> Fraction:
     """Exact ceiling 1 / ||sum_j phi_{p_j}(k_j)|| on |weyl_sum| over any
     Halton prefix in pairwise-distinct prime bases."""
-    bases.require_distinct()
+    _require_prime_bases(bases).require_distinct()
     _require_dimension("index", k.dimension, bases)
     if k.is_zero:
         raise ZeroIndex()
@@ -900,7 +905,7 @@ def verify_weyl_bound(
     r at g = (12,6)), and up to about B / 4 at a small even r, where the
     largest ratio is far below 1/2 (711,643 steps at r = 2, g = (12,6)).
     """
-    bases.require_distinct()
+    _require_prime_bases(bases).require_distinct()
     _check_box(box, bases)
     n_points, _ = _check_segment(n_points, 0)
     axes = list(zip(bases.primes, box.exponents))

@@ -6,7 +6,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import CountOverflow, DiaphonyError, SegmentTooLarge
-from .padic import DigitVector, Point, PointSet, PrimeBases, _as_int, _Record, monna
+from .padic import (DigitVector, Point, PointSet, PrimeBases, _as_int, _Record,
+                    _require_prime_bases, monna)
 
 __all__ = ["MAX_INDEX", "HaltonSegment", "validate_bases", "halton_point", "halton_stream",
            "halton_set"]
@@ -27,6 +28,7 @@ def validate_bases(raw) -> PrimeBases:
 
 def halton_point(n: int, bases: PrimeBases) -> Point:
     """The n-th point: coordinate i is the base-p_i digit reversal of n."""
+    _require_prime_bases(bases).require_distinct()
     n = _as_int(n, "index")  # monna rejects n < 0
     if n > MAX_INDEX:
         raise CountOverflow(f"index {n} exceeds the supported range")
@@ -59,9 +61,7 @@ class HaltonSegment(_Record):
     __slots__ = ("count", "bases", "start")
 
     def __init__(self, count: int, bases: PrimeBases, start: int = 0):
-        if not isinstance(bases, PrimeBases):
-            raise DiaphonyError(f"bases must be PrimeBases, got {type(bases).__name__}")
-        bases.require_distinct()
+        _require_prime_bases(bases).require_distinct()
         count, start = _check_segment(count, start)
         self._set(count, bases, start)
 
@@ -73,15 +73,20 @@ def halton_stream(count: int, bases: PrimeBases, start: int = 0) -> Iterator[Poi
     from a lazy generator.  It keeps the base-p digits of n, least
     significant first, for each base and adds one with carry between
     points (Halton and Smith's incremental radical inverse), so a step
-    touches p/(p-1) digits on average instead of all of them.
+    touches p/(p-1) digits on average instead of all of them.  Each
+    coordinate is a tuple of that digit list, made into a DigitVector and
+    then a Point without the public constructors' checks: the list never
+    ends in 0, since n's top digit is nonzero and n = 0 has no digits.
     ``halton_point`` is the random-access path.
     """
+    _require_prime_bases(bases).require_distinct()
     count, start = _check_segment(count, start)
 
     def generate() -> Iterator[Point]:
         odometer = [(p, list(monna(start, p).digits)) for p in bases.primes]
+        make_vector, make_point = DigitVector._make, Point._make
         for _ in range(count):
-            yield Point(tuple([DigitVector._trusted(p, digits[:]) for p, digits in odometer]))
+            yield make_point(tuple([make_vector(p, tuple(digits)) for p, digits in odometer]))
             for p, digits in odometer:
                 for j, d in enumerate(digits):
                     if d + 1 < p:
@@ -104,6 +109,7 @@ def halton_set(count: int, bases: PrimeBases, start: int = 0) -> PointSet:
     """
     import numpy as np
 
+    _require_prime_bases(bases).require_distinct()
     count, start = _check_segment(count, start)
     last = start + count - 1
     depths = [max(1, len(monna(last, p).digits)) for p in bases.primes]

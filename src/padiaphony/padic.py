@@ -63,9 +63,14 @@ _MAX_BASE = 2**63 - 1
 _CACHE_SIZE = 1024
 # int() parses base-p text in C for p <= 36.  Outside the powers of 2 it
 # refuses text longer than sys.get_int_max_str_digits(), which is 0 (no
-# limit) or at least 640, so the text is parsed 640 digits at a time.
+# limit) or at least 640, so longer text is parsed 640 digits at a time.
+# _TEXT_DIGIT maps text back to digit values, as float ingest reads base 2.
 _DIGIT_TEXT = bytes.maketrans(bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+_TEXT_DIGIT = bytes.maketrans(b"0123456789abcdefghijklmnopqrstuvwxyz", bytes(range(36)))
 _TEXT_DIGITS = 640
+# Rows that PointSet.from_points joins into one bytes buffer: the buffer and
+# its row bytes are the packing's only transient, so it stays this small.
+_PACK_ROWS = 256
 
 
 @lru_cache(maxsize=_CACHE_SIZE, typed=True)  # typed: 7.0 must not hit the entry for 7
@@ -115,15 +120,18 @@ def _require_prime(p) -> int:
 def _digits_to_int(digits, p: int) -> int:
     """The integer with base-p digits ``digits``, most significant first.
 
-    For p <= 36 each Python step parses up to _TEXT_DIGITS digits as text;
-    a larger base, with few digits per coordinate, takes one Horner step
-    per digit."""
+    For p <= 36 the digits become base-p text in C and one ``int(text, p)``
+    parses it, _TEXT_DIGITS digits at a time where the text is longer; a
+    larger base, with few digits per coordinate, takes one Horner step per
+    digit."""
     num = 0
     if p > 36:
         for d in digits:
             num = num * p + d
         return num
     text = bytes(digits).translate(_DIGIT_TEXT)
+    if len(text) <= _TEXT_DIGITS:
+        return int(text or b"0", p)
     for j in range(0, len(text), _TEXT_DIGITS):
         chunk = text[j : j + _TEXT_DIGITS]
         num = num * p ** len(chunk) + int(chunk, p)
@@ -211,16 +219,14 @@ class DigitVector(_Record):
     def __hash__(self):
         return hash((self.base, self.digits))
 
-    @classmethod
-    def _trusted(cls, base: int, digits: list[int]) -> DigitVector:
-        """A DigitVector from a prime base and a list of digits already in
-        range, for digits valid by construction: trailing zeros are popped
-        off the list, and the public constructor's checks are skipped."""
-        while digits and not digits[-1]:
-            digits.pop()
-        out = object.__new__(cls)
-        object.__setattr__(out, "base", base)
-        object.__setattr__(out, "digits", tuple(digits))
+    @staticmethod
+    def _make(base: int, digits: tuple[int, ...]) -> DigitVector:
+        """A DigitVector from a prime base and a tuple of Python-int digits
+        in range with no trailing zero, for digits valid by construction:
+        the public constructor's checks and trim are skipped."""
+        out = _new(DigitVector)
+        _set_base(out, base)
+        _set_digits(out, digits)
         return out
 
     def digit(self, j: int) -> int:
@@ -245,12 +251,26 @@ class Point(_Record):
             raise DimensionMismatch("a point needs at least one coordinate")
         object.__setattr__(self, "coords", coords)
 
+    @staticmethod
+    def _make(coords: tuple[DigitVector, ...]) -> Point:
+        """A Point from a nonempty tuple of DigitVectors, unchecked."""
+        out = _new(Point)
+        _set_coords(out, coords)
+        return out
+
     @property
     def dimension(self) -> int:
         return len(self.coords)
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(c.value() for c in self.coords)
+
+
+# The slots' own setters, bound once: the unchecked constructors of the two
+# hot records skip object.__setattr__'s lookup of each field by name.
+_new = object.__new__
+_set_base, _set_digits = DigitVector.base.__set__, DigitVector.digits.__set__
+_set_coords = Point.coords.__set__
 
 
 class PrimeBases(_Record):
@@ -284,8 +304,16 @@ class PrimeBases(_Record):
             seen.add(p)
 
 
+def _require_prime_bases(bases) -> PrimeBases:
+    """``bases`` itself, once it is a PrimeBases; the package's one type
+    check of a bases argument, made before anything reads it."""
+    if not isinstance(bases, PrimeBases):
+        raise DiaphonyError(f"bases must be PrimeBases, not {type(bases).__name__}")
+    return bases
+
+
 def _require_bases(ps: PointSet | HaltonSegment, bases: PrimeBases) -> None:
-    if ps.bases != bases:
+    if ps.bases != _require_prime_bases(bases):
         raise BaseMismatch(f"{type(ps).__name__} bases {ps.bases.primes} != {bases.primes}")
 
 
@@ -293,12 +321,18 @@ def _point_list(points, bases: PrimeBases) -> list[Point]:
     """The points as a nonempty list, each checked against the bases.  A
     PointSet in these bases becomes one Point per digit row; anything that
     is neither a PointSet nor an iterable of Points is rejected."""
+    _require_prime_bases(bases)
     if isinstance(points, PointSet):
         _require_bases(points, bases)
-        rows = zip(*(m.tolist() for m in points.digits))
-        return [
-            Point(tuple(map(DigitVector._trusted, bases.primes, row))) for row in rows
-        ]
+        pts = []
+        for row in zip(*(m.tolist() for m in points.digits)):
+            coords = []
+            for p, digits in zip(bases.primes, row):
+                while digits and not digits[-1]:
+                    digits.pop()
+                coords.append(DigitVector._make(p, tuple(digits)))
+            pts.append(Point._make(tuple(coords)))
+        return pts
     try:
         items = iter(points)
     except TypeError:
@@ -353,7 +387,12 @@ class PointSet(_Record):
     @classmethod
     def from_points(cls, points, bases: PrimeBases) -> PointSet:
         """The digit arrays of a nonempty iterable of Points in these bases;
-        a PointSet in these bases is returned as it is."""
+        a PointSet in these bases is returned as it is.
+
+        Each coordinate's rows are zero-filled to its longest expansion.  In
+        a base below 256 every row becomes bytes in C, and ``np.frombuffer``
+        reads them _PACK_ROWS rows at a time into the digit matrix; a larger
+        base's digits, which no byte holds, go through ``np.fromiter``."""
         if isinstance(points, PointSet):
             _require_bases(points, bases)
             return points
@@ -361,15 +400,22 @@ class PointSet(_Record):
 
         pts = _point_list(points, bases)
         mats = []
-        for i in range(bases.dimension):
+        for i, p in enumerate(bases.primes):
             rows = [pt.coords[i].digits for pt in pts]
             depth = max(1, max(map(len, rows)))
-            padded = itertools.chain.from_iterable(
-                row + (0,) * (depth - len(row)) for row in rows
-            )
-            mats.append(
-                np.fromiter(padded, np.int64, len(rows) * depth).reshape(-1, depth)
-            )
+            if p < 256:
+                mat = np.empty(len(rows) * depth, np.int64)
+                for k in range(0, len(rows), _PACK_ROWS):
+                    block = b"".join(
+                        [bytes(row).ljust(depth, b"\0") for row in rows[k : k + _PACK_ROWS]]
+                    )
+                    mat[k * depth : k * depth + len(block)] = np.frombuffer(block, np.uint8)
+            else:
+                padded = itertools.chain.from_iterable(
+                    row + (0,) * (depth - len(row)) for row in rows
+                )
+                mat = np.fromiter(padded, np.int64, len(rows) * depth)
+            mats.append(mat.reshape(-1, depth))
         return cls(bases, tuple(mats))
 
 
@@ -398,21 +444,29 @@ class IndexVector(_Record):
 def monna(n: int, p: int) -> DigitVector:
     """Reflect n's base-p expansion across the radix point (radical inverse).
 
-    n = sum_r z_r p**r maps to the coordinate sum_r z_r p**(-r-1).
+    n = sum_r z_r p**r maps to the coordinate sum_r z_r p**(-r-1).  The
+    digits are peeled w at a time through the base's table of w-digit
+    chunks (``_digit_chunks``); bases above 31 have no table and take one
+    divmod per digit.
     """
     p = _require_prime(p)
     n = _as_int(n, "index")
     if n < 0:
         raise DiaphonyError(f"index {n} must be nonnegative")
+    table = _digit_chunks(p)
+    if table is not None:
+        return DigitVector._make(p, tuple(_chunked_digits(n, table).rstrip(b"\0")))
     digits = []
     while n:
         n, r = divmod(n, p)
         digits.append(r)
-    return DigitVector._trusted(p, digits)
+    return DigitVector._make(p, tuple(digits))
 
 
 def monna_inverse(x: DigitVector) -> int:
     """Reflect a finite expansion back to the integer sum_j d_j base**(j-1)."""
+    if not isinstance(x, DigitVector):
+        raise DiaphonyError(f"x must be a DigitVector, not {type(x).__name__}")
     return _digits_to_int(x.digits[::-1], x.base)
 
 
@@ -423,21 +477,40 @@ def default_depth(p: int) -> int:
     return len(monna(2**53 - 1, p).digits)
 
 
-# Entries of a float-ingest digit table at most.  A base above 31 would get
-# 1-digit chunks, one divmod per digit either way, so it has no table and
-# its digits are read off ``monna``.
+# Entries of a digit table at most.  A base above 31 would get 1-digit
+# chunks, one divmod per digit either way, so it has no table.
 _CHUNK_LIMIT = 1024
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _digit_chunks(p: int) -> list[tuple[int, ...]] | None:
-    """The table whose entry v holds the w base-p digits of v, most
-    significant first, for the chunk width w of prime p; None where
-    p**2 > _CHUNK_LIMIT.  Built on first use, not at import."""
+def _digit_chunks(p: int) -> list[bytes] | None:
+    """The table whose entry v holds the w base-p digits of v, least
+    significant first, as bytes, for the chunk width w of prime p; None
+    where p**2 > _CHUNK_LIMIT.  Built on first use, not at import."""
     w = 1
     while p ** (w + 1) <= _CHUNK_LIMIT:
         w += 1
-    return list(itertools.product(range(p), repeat=w)) if w > 1 else None
+    if w == 1:
+        return None
+    return [bytes(reversed(chunk)) for chunk in itertools.product(range(p), repeat=w)]
+
+
+def _chunked_digits(n: int, table: list[bytes]) -> bytes:
+    """The digits of n >= 0 in the table's base, least significant first,
+    one divmod per chunk; the last chunk may end in zeros."""
+    chunks = []
+    while n:
+        n, low = divmod(n, len(table))
+        chunks.append(table[low])
+    return b"".join(chunks)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _ingest_plan(p: int) -> tuple[int, int, list[bytes] | None]:
+    """(default_depth(p), p to that power, ``_digit_chunks(p)``) for an int
+    p, once it is prime: the one cache call of a ``float_to_digits``."""
+    depth = default_depth(_require_prime(p))
+    return depth, p**depth, _digit_chunks(p)
 
 
 def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
@@ -446,36 +519,44 @@ def float_to_digits(x, p: int, depth: int | None = None) -> DigitVector:
     x may be a float of any width, Python or numpy, or a ``Decimal``
     (converted exactly, no decimal reinterpretation), or a Fraction/int.
     Truncation is toward zero, never rounded, so the result is deterministic
-    in the input bits.  The digits are peeled off the one integer
-    floor(x * p**depth), w at a time through the base's table of w-digit
-    tuples (``_digit_chunks``); bases above 31 have no table and read the
-    integer's digits off ``monna``.  Every x gives its exact ratio num / den
-    through its own ``as_integer_ratio`` where it has one, other inputs
-    (numpy integers, for one) through ``Fraction``; nan and inf raise
-    OutOfUnitInterval chained from the error the ratio raises.
+    in the input bits.  The digits are those of the one integer
+    floor(x * p**depth), zero-filled to ``depth``: base 2 reads them off its
+    binary text, other bases up to 31 peel them w at a time through the
+    base's digit table (``_digit_chunks``), and larger bases one divmod
+    each.  The text and byte steps run in C, the trim of trailing zeros
+    included.
+    Every x gives its exact ratio num / den through its own
+    ``as_integer_ratio`` where it has one, other inputs (numpy integers, for
+    one) through ``Fraction``; nan and inf raise OutOfUnitInterval chained
+    from the error the ratio raises.
     """
-    p = _require_prime(p)
-    depth = default_depth(p) if depth is None else _as_int(depth, "depth")
-    if depth < 1:
-        raise DiaphonyError("depth must be at least 1")
+    p = _as_int(p, "base")
+    default, scale, table = _ingest_plan(p)
+    if depth is None:
+        depth = default
+    else:
+        depth = _as_int(depth, "depth")
+        if depth < 1:
+            raise DiaphonyError("depth must be at least 1")
+        scale = p**depth
     try:
         num, den = (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
     except (TypeError, ValueError, OverflowError) as exc:  # nan / inf / None
         raise OutOfUnitInterval(x) from exc
     if not 0 <= num < den:
         raise OutOfUnitInterval(x)
-    scaled = num * p**depth // den
-    table = _digit_chunks(p)
-    if table is None:
-        digits = monna(scaled, p).digits  # least significant first
-        return DigitVector._trusted(p, [0] * (depth - len(digits)) + list(reversed(digits)))
-    w = len(table[0])
-    chunks = []  # least significant first
-    for _ in range(depth // w):
-        scaled, low = divmod(scaled, len(table))
-        chunks.append(table[low])
-    chunks.append(table[scaled][w - depth % w :])  # the depth % w leading digits
-    return DigitVector._trusted(p, list(itertools.chain.from_iterable(reversed(chunks))))
+    scaled = num * scale // den
+    if p == 2:
+        text = format(scaled, "b").zfill(depth).rstrip("0")
+        return DigitVector._make(2, tuple(text.encode().translate(_TEXT_DIGIT)))
+    if table is not None:
+        low_first = _chunked_digits(scaled, table).ljust(depth, b"\0")
+        return DigitVector._make(p, tuple(low_first[depth - 1 :: -1].rstrip(b"\0")))
+    low = monna(scaled, p).digits
+    digits = [0] * (depth - len(low)) + list(reversed(low))
+    while digits and not digits[-1]:
+        digits.pop()
+    return DigitVector._make(p, tuple(digits))
 
 
 def padic_phase(k: int, x: DigitVector) -> Fraction:
@@ -525,6 +606,13 @@ def char_product(
 def point_from_values(values, bases: PrimeBases) -> Point:
     """Ingest real coordinates into an exact Point, one expansion per base,
     truncated at the base's ``default_depth``."""
-    vals = list(values)
+    _require_prime_bases(bases)
+    try:
+        items = iter(values)
+    except TypeError:
+        raise DiaphonyError(
+            f"values must be an iterable of reals, not {type(values).__name__}"
+        ) from None
+    vals = list(items)
     _require_dimension("value", len(vals), bases)
-    return Point(tuple(float_to_digits(v, p) for v, p in zip(vals, bases.primes)))
+    return Point._make(tuple(map(float_to_digits, vals, bases.primes)))

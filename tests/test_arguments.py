@@ -16,12 +16,15 @@ from padiaphony import (
     DiaphonyError,
     DigitVector,
     DimensionMismatch,
+    DuplicateBase,
     IndexVector,
+    PointSet,
     PrimeBases,
     TruncationBox,
     block_weight,
     block_weight_product,
     default_depth,
+    diaphony_kernel,
     diaphony_kernel_prefixes,
     float_to_digits,
     halton_diaphony_bound,
@@ -31,9 +34,11 @@ from padiaphony import (
     halton_stream,
     is_prime,
     monna,
+    monna_inverse,
     point_from_values,
     validate_bases,
     verify_weyl_bound,
+    weyl_sum_bound,
 )
 
 B23 = PrimeBases((2, 3))
@@ -109,6 +114,7 @@ def test_the_calls_that_broke_the_rule():
 
 def test_every_rejection_is_a_diaphony_error_and_a_value_error():
     assert issubclass(DiaphonyError, ValueError)
+    pts = [point_from_values([0.5], B2)]
     for call in (
         lambda: halton_stream(0, B2),
         lambda: halton_point(-1, B2),
@@ -116,8 +122,34 @@ def test_every_rejection_is_a_diaphony_error_and_a_value_error():
         lambda: TruncationBox((0,)),
         lambda: DigitVector(2, (2,)),
         lambda: halton_diaphony_prefixes(B2, []),
+        # bases that are not PrimeBases, and arguments of the wrong kind,
+        # are rejected when the function is called, not on first use
+        lambda: halton_stream(3, (2,)),
+        lambda: halton_set(3, (2,)),
+        lambda: halton_point(3, (2,)),
+        lambda: point_from_values([0.5], (2,)),
+        lambda: PointSet.from_points(pts, (2,)),
+        lambda: PointSet.from_points(halton_set(2, B2), (2,)),
+        lambda: diaphony_kernel(pts, (2,)),
+        lambda: diaphony_kernel(pts, (2,), mode="exact"),
+        lambda: halton_diaphony_prefixes((2,), [1]),
+        lambda: halton_diaphony_bound((2,), 4),
+        lambda: weyl_sum_bound(IndexVector((1,)), (2,)),
+        lambda: verify_weyl_bound(4, (2,), TruncationBox((2,))),
+        lambda: point_from_values(0.5, B2),
+        lambda: monna_inverse(5),
     ):
         with pytest.raises(DiaphonyError):
+            call()
+    # Halton generation needs pairwise-distinct bases, as the bounds do
+    twice = PrimeBases((2, 3, 2))
+    for call in (
+        lambda: halton_stream(3, twice),
+        lambda: halton_set(3, twice),
+        lambda: halton_point(3, twice),
+        lambda: halton_diaphony_bound(twice, 4),
+    ):
+        with pytest.raises(DuplicateBase):
             call()
 
 

@@ -1,5 +1,6 @@
 """Digit arithmetic, character phases, and their exactness guarantees."""
 
+import itertools
 import math
 import random
 import sys
@@ -28,6 +29,7 @@ from padiaphony import (
     default_depth,
     float_to_digits,
     halton_point,
+    halton_stream,
     is_prime,
     monna,
     monna_inverse,
@@ -36,6 +38,7 @@ from padiaphony import (
     point_from_values,
     walsh_phase,
 )
+from padiaphony.padic import _digit_chunks, _ingest_plan
 
 
 def rand_digit_vector(rng, p, max_len=6):
@@ -137,6 +140,35 @@ def test_point_set_validates_its_digit_matrices():
             PointSet(bases, (good, bad))
 
 
+def _fromiter_packing(pts, bases):
+    """The digit matrices PointSet.from_points built before bases below 256
+    went through bytes: each row zero-filled as a tuple, then np.fromiter."""
+    mats = []
+    for i in range(bases.dimension):
+        rows = [pt.coords[i].digits for pt in pts]
+        depth = max(1, max(map(len, rows)))
+        padded = itertools.chain.from_iterable(row + (0,) * (depth - len(row)) for row in rows)
+        mats.append(np.fromiter(padded, np.int64, len(rows) * depth).reshape(-1, depth))
+    return mats
+
+
+def test_from_points_packs_every_base_as_the_fromiter_loop():
+    # 251 is the largest prime below 256, whose digits fit a byte, 257 the
+    # smallest above it; 600 rows span three byte buffers, the last partial
+    bases = PrimeBases((2, 3, 251, 257, 65537))
+    rng = random.Random(31)
+    ragged = [Point(tuple(rand_digit_vector(rng, p, max_len=9) for p in bases.primes))
+              for _ in range(600)]
+    top = Point(tuple(DigitVector(p, (p - 1,) * 12) for p in bases.primes))
+    empty = Point(tuple(DigitVector(p) for p in bases.primes))
+    for pts in (ragged, ragged + [top, empty], [top], [empty], [ragged[0]]):
+        got = PointSet.from_points(pts, bases).digits
+        for m, want in zip(got, _fromiter_packing(pts, bases), strict=True):
+            assert m.dtype == np.int64 and m.shape == want.shape
+            assert np.array_equal(m, want)
+    assert any(not c.digits for pt in ragged for c in pt.coords)
+
+
 def _is_prime_by_trial_division(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
@@ -172,7 +204,8 @@ def test_per_base_caches_stay_bounded():
     assert len(primes) > bound
     for p in primes:
         default_depth(p)
-    for cached in (is_prime, default_depth):
+        float_to_digits(0.5, p)
+    for cached in (is_prime, default_depth, _digit_chunks, _ingest_plan):
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
@@ -249,6 +282,17 @@ def test_monna_and_ingest_build_canonical_digit_vectors():
     # a numpy integer index gives the same Python-int digits
     dv = monna(np.int64(6), 3)
     assert dv == monna(6, 3) and all(type(d) is int for d in dv.digits)
+    # halton_stream's records come off its odometer unchecked: from n = 0
+    # and across carries, each equals the checked one, digits and hash
+    for primes in ((2, 3, 5), (31, 37), (2, 65537)):
+        bases = PrimeBases(primes)
+        for start in {0, 1, 2**16 - 2, 3**10 - 2, 37**3 - 2, 65537**2 - 2, 2**63 - 4}:
+            for n, pt in enumerate(halton_stream(3, bases, start), start):
+                assert pt == halton_point(n, bases) and hash(pt) == hash(halton_point(n, bases))
+                for dv in pt.coords:
+                    assert type(dv.digits) is tuple and all(type(d) is int for d in dv.digits)
+                    assert dv == DigitVector(dv.base, dv.digits)
+                    assert hash(dv) == hash(DigitVector(dv.base, dv.digits))
     # anything not an integer is rejected before a digit is built, inf included
     for n in (2.5, float("inf"), float("nan"), "6", np.float64(6.0)):
         with pytest.raises(ValueError):
@@ -329,15 +373,34 @@ UNIT_VALUES = st.one_of(
     p=st.sampled_from((2, 3, 5, 7, 11, 31, 37, 40009, 65537)),
     depth=st.one_of(st.none(), st.integers(1, 70)),
 )
-# base 2 peels 10 digits a chunk: below one chunk, one chunk, two and one digit
 @example(x=0.7, p=2, depth=9)
 @example(x=0.7, p=2, depth=10)
 @example(x=0.7, p=2, depth=21)
+# base 3 peels 6 digits a chunk: below one chunk, one chunk, two and one digit
+@example(x=0.7, p=3, depth=5)
+@example(x=0.7, p=3, depth=6)
+@example(x=0.7, p=3, depth=13)
 @example(x=5e-324, p=65537, depth=None)
 @example(x=1 - 2**-53, p=2, depth=1)
 @example(x=-0.0, p=3, depth=60)
+# base 2 reads binary text: past the mantissa, and past 640 digits, which
+# int/str conversion outside the powers of 2 refuses under the least limit
+@example(x=0.7, p=2, depth=54)
+@example(x=1 - 2**-53, p=2, depth=700)
+@example(x=5e-324, p=2, depth=1074)
+@example(x=5e-324, p=2, depth=1100)
+@example(x=Fraction(1, 3), p=2, depth=1000)
 def test_float_to_digits_equals_the_digit_loop(x, p, depth):
-    assert float_to_digits(x, p, depth) == _digit_loop(x, p, depth)
+    with_limit = getattr(sys, "set_int_max_str_digits", None)
+    if with_limit is None:
+        assert float_to_digits(x, p, depth) == _digit_loop(x, p, depth)
+        return
+    old = sys.get_int_max_str_digits()
+    with_limit(640)  # the least limit Python accepts
+    try:
+        assert float_to_digits(x, p, depth) == _digit_loop(x, p, depth)
+    finally:
+        with_limit(old)
 
 
 @pytest.mark.parametrize(
