@@ -11,6 +11,11 @@ index space runs.  ``verify-lemma`` evaluates each Weyl sum in closed
 form, so no command loads numpy.
 The console script ends at once, by SIGPIPE, when the reader of its output
 goes away (a shell reports 141, as for any program so ended).
+
+A command loads only the modules its route runs.  ``bound``, ``sweep`` and
+the kernel ``diaphony`` need ``core`` alone, imported here; ``halton``
+and the spectral ``diaphony`` and ``verify-lemma`` routes are imported
+when first called (``_route``).
 """
 
 from __future__ import annotations
@@ -18,29 +23,56 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-from .diaphony import (
-    _check_box,
-    diaphony_spectral,
+from .core import (
+    PrimeBases,
+    _check_segment,
     halton_diaphony_bound,
     halton_diaphony_prefixes,
-    verify_weyl_bound,
+    validate_bases,
     worst_case_error,
 )
-from .diaphony import diaphony_kernel  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .diaphony import diaphony_kernel_prefixes  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .errors import BoxTooLarge, DiaphonyError, DimensionMismatch
-from .halton import HaltonSegment, _check_segment, halton_stream, validate_bases
-from .padic import PrimeBases
-from .weights import TruncationBox
+
+if TYPE_CHECKING:
+    from .weights import TruncationBox
 
 __all__ = ["main", "entry"]
+
+# Routes imported on first use and bound into this module's globals, each
+# with its module.  perfbench/tracing.py wraps them at these globals (the
+# two kernel routes, which no command calls, only for it), so a command
+# calls whatever the globals hold.
+_ROUTES = {
+    "diaphony_spectral": "diaphony",
+    "verify_weyl_bound": "diaphony",
+    "diaphony_kernel": "diaphony",
+    "diaphony_kernel_prefixes": "diaphony",
+    "halton_stream": "halton",
+}
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 # A sweep holds one chunk of _SWEEP_CHUNK reports at a time, so its memory
 # does not grow with the row count.
 _SWEEP_CHUNK = 4096
+
+
+def __getattr__(name: str):
+    """A route of ``_ROUTES``, imported and bound into the globals (PEP 562)."""
+    if name not in _ROUTES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement's machinery, not importlib's, so that
+    # -X importtime lists the module
+    module = __import__(f"{__package__}.{_ROUTES[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def _route(name: str):
+    """The route ``name`` as the globals hold it, bound on first use."""
+    return globals().get(name) or __getattr__(name)
 
 
 class _UsageError(DiaphonyError):
@@ -85,6 +117,8 @@ def _parse_box(args) -> TruncationBox | None:
             raise _UsageError("--g is required for this invocation")
         return None
 
+    from .weights import TruncationBox
+
     def box(exps):
         if len(exps) != args.bases.dimension:
             raise DimensionMismatch(f"got {len(exps)} entries for dimension {args.bases.dimension}")
@@ -128,7 +162,10 @@ def _write_rows(out, args, rows: Iterable[dict], flags: dict) -> None:
     # the rows array is the last value, so its "" sentinel is the last ""
     head, _, tail = json.dumps({"config": config, "rows": [""]}, indent=2).rpartition('""')
     for i, row in enumerate(rows):
-        out.write((",\n    " if i else head) + json.dumps(row, indent=2).replace("\n", "\n    "))
+        # default: the one value json cannot encode, a Decimal c that no
+        # float holds, is written as its text, as in CSV
+        text = json.dumps(row, indent=2, default=str)
+        out.write((",\n    " if i else head) + text.replace("\n", "\n    "))
     out.write(tail + "\n")
 
 
@@ -137,7 +174,7 @@ def _frac_str(value) -> str:
 
 
 def cmd_halton(args) -> int:
-    points = halton_stream(args.count, args.bases, args.start)  # checked before any row
+    points = _route("halton_stream")(args.count, args.bases, args.start)  # checked before any row
 
     def rows():
         for offset, pt in enumerate(points):
@@ -154,9 +191,12 @@ def cmd_halton(args) -> int:
 
 def cmd_diaphony(args) -> int:
     if args.method == "spectral":
+        from .diaphony import _check_box
+        from .halton import HaltonSegment
+
         _check_box(args.box, args.bases)  # before the segment is checked
         segment = HaltonSegment(args.count, args.bases, args.start)
-        report = diaphony_spectral(segment, args.bases, args.box)
+        report = _route("diaphony_spectral")(segment, args.bases, args.box)
     elif args.box is not None:
         raise _UsageError("--g applies to --method spectral")
     else:
@@ -226,7 +266,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_lemma(args) -> int:
-    report = verify_weyl_bound(args.count, args.bases, args.box)
+    report = _route("verify_weyl_bound")(args.count, args.bases, args.box)
     row = {
         "N": args.count,
         "worst_ratio": report.worst_ratio,

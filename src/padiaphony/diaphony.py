@@ -4,24 +4,24 @@ The kernel route sums the closed-form pair kernel over all point pairs.
 Its fast mode counts the points sharing each digit cell, in integers, in
 one sorted pass per coordinate; its exact mode adds kernel values in
 rationals over the unordered pairs that share a first-digit cell.  For a
-contiguous Halton segment, ``halton_diaphony_prefixes`` counts the same
-pairs in closed form from (bases, start, N) alone, by CRT, and builds no
-point.  All three yield the squared diaphony as one exact rational,
+contiguous Halton segment, ``core.halton_diaphony_prefixes`` counts the
+same pairs in closed form from (bases, start, N) alone, by CRT, and builds
+no point.  All three yield the squared diaphony as one exact rational,
 rounded to float once.  The spectral route sums weighted squared Weyl
 sums over a finite index box and adds the exact analytic tail, yielding
 an enclosure of the squared diaphony.  For points the boxed sum comes
 from a float transform, so the enclosure holds up to its rounding; for a
 ``HaltonSegment`` the boxed sum is counted exactly by the same CRT
 argument, with no point and no transform, and the enclosure is rigorous.
-On top sit the worst-case-error identity, the asymptotic bound for Halton
-prefixes, and the Weyl-sum ceiling check, which evaluates each sum of a
-Halton prefix in closed form.
+On top sits the Weyl-sum ceiling check, which evaluates each sum of a
+Halton prefix in closed form; the worst-case-error identity and the
+asymptotic bound for Halton prefixes live in ``core``.
 
-numpy is imported inside the functions that build arrays, so the closed
-forms, the bound, the Weyl-ceiling check and the scalar oracles run without
-loading it.  The three reports are slotted immutable records
-(``padic._Record``), not dataclasses, so importing the module loads
-neither ``dataclasses`` nor ``inspect``.
+numpy is imported inside the functions that build arrays, so the
+Weyl-ceiling check and the scalar oracles run without loading it.
+``WeylCheckReport`` is a slotted immutable record (``core._Record``), not
+a dataclass, so importing the module loads neither ``dataclasses`` nor
+``inspect``.
 """
 
 from __future__ import annotations
@@ -30,29 +30,29 @@ import itertools
 import math
 import operator
 from collections.abc import Iterable
-from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import BoxTooLarge, CountOverflow, DiaphonyError, SegmentTooLarge, ZeroIndex
-from .halton import DIGIT_CELL_CAP, MAX_INDEX, HaltonSegment, _check_segment
-from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .kernel import _first_digit_cell, kernel_value
-from .padic import (
-    IndexVector,
-    Point,
-    PointSet,
+from .core import (
+    DiaphonyReport,
     PrimeBases,
     _as_int,
-    _point_list,
+    _check_segment,
+    _kernel_report,
     _Record,
-    _require_bases,
-    _require_prime_bases,
     _require_dimension,
-    char_product,
-    monna,
+    _require_prime_bases,
+    weight_mass,
 )
-from .weights import TruncationBox, truncated_weight_mass, weight_mass
+# defined here before core; see its end
+from .core import BoundReport, halton_diaphony_bound, halton_diaphony_prefixes  # noqa: F401
+from .core import _cell_moduli, worst_case_error  # noqa: F401
+from .errors import BoxTooLarge, DiaphonyError, SegmentTooLarge, ZeroIndex
+from .halton import DIGIT_CELL_CAP, HaltonSegment
+from .halton import halton_stream  # noqa: F401  (perfbench/tracing.py wraps it here)
+from .kernel import _first_digit_cell, kernel_value
+from .padic import IndexVector, Point, PointSet, _point_list, _require_bases, char_product, monna
+from .weights import TruncationBox, truncated_weight_mass
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,20 +60,15 @@ if TYPE_CHECKING:
 __all__ = [
     "ENUMERATION_CAP",
     "RATIO_TOLERANCE",
-    "DiaphonyReport",
-    "BoundReport",
     "WeylCheckReport",
     "weyl_sum",
     "weyl_sum_table",
     "diaphony_kernel",
     "diaphony_kernel_prefixes",
-    "halton_diaphony_prefixes",
     "truncated_spectral_sum",
     "spectral_tail",
     "diaphony_spectral",
     "enclosure_grid",
-    "worst_case_error",
-    "halton_diaphony_bound",
     "distance_to_nearest_integer",
     "weyl_sum_bound",
     "verify_weyl_bound",
@@ -94,29 +89,6 @@ _ENVELOPE_MARGIN = 1e-12
 # least columns per slab of |T|**2 where the half spectrum has that many.
 _SLAB_ENTRIES = 1 << 15
 _SLAB_COLUMNS = 16
-
-
-class DiaphonyReport(_Record):
-    """Result of one diaphony computation.
-
-    ``enclosure`` and ``box`` are populated by the spectral method only;
-    there ``lower <= f_squared <= upper`` is guaranteed.
-    """
-
-    __slots__ = ("n_points", "f", "f_squared", "method", "enclosure", "box")
-
-    def __init__(self, n_points: int, f: float, f_squared: float, method: str,
-                 enclosure: tuple[float, float] | None = None, box: TruncationBox | None = None):
-        self._set(n_points, f, f_squared, method, enclosure, box)
-
-
-class BoundReport(_Record):
-    """Constants and value of the asymptotic ceiling on the squared diaphony."""
-
-    __slots__ = ("c", "d", "bound_f_squared")
-
-    def __init__(self, c: float, d: float, bound_f_squared: float):
-        self._set(c, d, bound_f_squared)
 
 
 class WeylCheckReport(_Record):
@@ -406,13 +378,6 @@ def _pair_sums(ps: PointSet, sizes: list[int]) -> list[int]:
     return totals
 
 
-def _kernel_report(n: int, pair_sum: Fraction, sig: int) -> DiaphonyReport:
-    """Report from the exact kernel sum over all ordered pairs of n points.
-    The exact squared diaphony lies in [0, 1], so its float does too."""
-    f_squared = float((pair_sum / (n * n) - 1) / (sig - 1))
-    return DiaphonyReport(n, math.sqrt(f_squared), f_squared, "kernel")
-
-
 def diaphony_kernel_prefixes(
     points: PointSet | Iterable[Point], bases: PrimeBases, prefix_sizes
 ) -> list[DiaphonyReport]:
@@ -439,10 +404,8 @@ def diaphony_kernel_prefixes(
     totals = _pair_sums(ps, sizes)
     scale = math.prod(p ** d.shape[1] for p, d in zip(bases.primes, ps.digits))
     sig = weight_mass(bases)
-    return [
-        _kernel_report(nn, nn * sig + Fraction(2 * t, scale), sig)
-        for nn, t in zip(sizes, totals)
-    ]
+    return [_kernel_report(nn, nn * sig * scale + 2 * t, sig, scale)
+            for nn, t in zip(sizes, totals)]
 
 
 def diaphony_kernel(
@@ -488,62 +451,6 @@ def diaphony_kernel(
                 numerators[k.denominator] = numerators.get(k.denominator, 0) + weight * k.numerator
     pair_sum = sum(Fraction(num, den) for den, num in numerators.items())
     return _kernel_report(len(pts), pair_sum, weight_mass(bases))
-
-
-def _cell_moduli(primes: tuple[int, ...], limit: int) -> list[int]:
-    """Every M = prod_i p_i**a_i <= limit with all a_i >= 1, ascending."""
-    moduli = [1]
-    rest = math.prod(primes)
-    for p in primes:
-        rest //= p
-        cap = limit // rest  # leaves room for one factor of each later prime
-        grown = []
-        for m in moduli:
-            m *= p
-            while m <= cap:
-                grown.append(m)
-                m *= p
-        moduli = grown
-    return sorted(moduli)
-
-
-def halton_diaphony_prefixes(
-    bases: PrimeBases, prefix_sizes, start: int = 0
-) -> list[DiaphonyReport]:
-    """Kernel reports for prefixes of the Halton segment from ``start``, in
-    closed form, without building a point.
-
-    Every report equals ``diaphony_kernel_prefixes(halton_set(max(sizes),
-    bases, start), bases, sizes)`` bitwise.  Coordinate i of the point with
-    index n holds the base-p_i digits of n, so by CRT two indices share
-    their first a_i digits in every coordinate exactly when n = m modulo
-    M(a) = prod_i p_i**a_i.  The weight W(a) of that event is C / M(a) with
-    C = prod_i (p_i**2 - 1), and among N consecutive indices, N = qM + r,
-    q (N - M + r) ordered pairs of distinct indices agree modulo M.  So the
-    kernel sum is N sigma + C sum_{M(a) <= N} q (N - M + r) / M, whatever
-    the start; it is summed in integers over the common denominator
-    lcm(M(a) <= max(sizes)), and rounded once per size.
-    """
-    _require_prime_bases(bases).require_distinct()
-    sizes = [_as_int(n, "prefix size") for n in prefix_sizes]
-    if not sizes or min(sizes) < 1:
-        raise DiaphonyError("prefix sizes must be a nonempty list of positive integers")
-    limit, start = _check_segment(max(sizes), start)
-    moduli = _cell_moduli(bases.primes, limit)
-    scale = math.lcm(*moduli)
-    shares = [scale // m for m in moduli]
-    sig = weight_mass(bases)
-    c = math.prod(p * p - 1 for p in bases.primes)
-    reports = []
-    for n in sizes:
-        total = 0
-        for m, share in zip(moduli, shares):
-            if m > n:
-                break
-            q, r = divmod(n, m)
-            total += q * (n - m + r) * share
-        reports.append(_kernel_report(n, n * sig + Fraction(c * total, scale), sig))
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -799,54 +706,7 @@ def enclosure_grid(
 
 
 # ---------------------------------------------------------------------------
-# Identities and sequence bounds
-
-
-def worst_case_error(report: DiaphonyReport, bases: PrimeBases) -> float:
-    """Worst-case equal-weight integration error: sqrt(sigma - 1) * F.
-
-    Where sigma - 1 passes the float range the root is taken in
-    ``Decimal``; a value that no float holds raises DiaphonyError."""
-    try:
-        return math.sqrt(weight_mass(bases) - 1) * report.f
-    except OverflowError:
-        error = float(Decimal(weight_mass(bases) - 1).sqrt() * Decimal(report.f))
-        if error < math.inf:
-            return error
-    raise DiaphonyError("the worst-case error exceeds the float range")
-
-
-def halton_diaphony_bound(bases: PrimeBases, n_points: int) -> BoundReport:
-    """Ceiling on the squared diaphony of an N-point Halton prefix.
-
-    bound = c * (ln N)**s / N**2 + d / N**2 with
-    c = (1/(sigma - 1)) * (pi**2/3) * prod_j (1 + 2 p_j**2 / ln p_j) and
-    d = 2 s max_i p_i, for N <= 2**63.  Natural logarithms throughout.
-    The factors of the product stay below 2**123, but their product,
-    sigma and c * (ln N)**s can pass the float range for large bases;
-    there c and the bound are evaluated from the same factors in
-    ``Decimal``, and a value that no float holds raises DiaphonyError.
-    """
-    _require_prime_bases(bases).require_distinct()
-    n_points = _as_int(n_points, "n_points")
-    if n_points < 1:
-        raise DiaphonyError("n_points must be at least 1")
-    if n_points > MAX_INDEX + 1:
-        raise CountOverflow("n_points exceeds 2**63, the supported 64-bit index space")
-    sig = weight_mass(bases)
-    s = bases.dimension
-    factors = [1.0 + 2.0 * p * p / math.log(p) for p in bases.primes]
-    d = float(2 * s * max(bases.primes))
-    for num in (float, Decimal):  # Decimal only where a float step overflows
-        try:
-            c = num(math.pi) ** 2 / 3 * math.prod(map(num, factors)) / (sig - 1)
-            bound = (c * num(math.log(n_points)) ** s + num(d)) / n_points**2
-        except ArithmeticError:
-            continue
-        report = BoundReport(float(c), d, float(bound))
-        if math.isfinite(report.c) and math.isfinite(report.bound_f_squared):
-            return report
-    raise DiaphonyError("the bound's constants exceed the float range")
+# Weyl-sum ceilings
 
 
 def distance_to_nearest_integer(q: Fraction) -> Fraction:

@@ -5,25 +5,17 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import CountOverflow, DiaphonyError, SegmentTooLarge
-from .padic import (DigitVector, Point, PointSet, PrimeBases, _as_int, _Record,
-                    _require_prime_bases, monna)
+from .core import (MAX_INDEX, PrimeBases, _as_int, _check_segment, _Record,
+                   _require_prime_bases)
+from .core import validate_bases  # noqa: F401  (defined here before core; see its end)
+from .errors import CountOverflow, SegmentTooLarge
+from .padic import DigitVector, Point, PointSet, monna
 
-__all__ = ["MAX_INDEX", "HaltonSegment", "validate_bases", "halton_point", "halton_stream",
-           "halton_set"]
+__all__ = ["HaltonSegment", "halton_point", "halton_stream", "halton_set"]
 
-# Indices are confined to 64 bits; larger ranges are rejected, not wrapped.
-MAX_INDEX = 2**63 - 1
 # halton_set refuses segments whose digit matrices hold more int64 cells
 # than this (2 GiB), before allocating them.
 DIGIT_CELL_CAP = 1 << 28
-
-
-def validate_bases(raw) -> PrimeBases:
-    """Check a raw base list: nonempty, all prime, then pairwise distinct."""
-    bases = PrimeBases(tuple(raw))
-    bases.require_distinct()
-    return bases
 
 
 def halton_point(n: int, bases: PrimeBases) -> Point:
@@ -33,20 +25,6 @@ def halton_point(n: int, bases: PrimeBases) -> Point:
     if n > MAX_INDEX:
         raise CountOverflow(f"index {n} exceeds the supported range")
     return Point(tuple(monna(n, p) for p in bases.primes))
-
-
-def _check_segment(count: int, start: int) -> tuple[int, int]:
-    """(count, start) as Python ints, once both are in range."""
-    count, start = _as_int(count, "count"), _as_int(start, "start")
-    if count < 1:
-        raise DiaphonyError("count must be at least 1")
-    if start < 0:
-        raise DiaphonyError("start must be nonnegative")
-    if start + count - 1 > MAX_INDEX:
-        raise CountOverflow(
-            f"indices up to {start + count - 1} exceed the supported range"
-        )
-    return count, start
 
 
 class HaltonSegment(_Record):

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .core import PrimeBases
 from .errors import BaseMismatch, DiaphonyError, DimensionMismatch
-from .padic import DigitVector, Point, PrimeBases
+from .padic import DigitVector, Point
 
 __all__ = ["centered_kernel_1d", "kernel_value"]
 

@@ -11,21 +11,21 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import (
-    BaseMismatch,
-    BaseTooLarge,
-    DiaphonyError,
-    DimensionMismatch,
-    DuplicateBase,
-    EmptyBases,
-    NonPrimeBase,
-    OutOfUnitInterval,
+from .core import (
+    _CACHE_SIZE,
+    PrimeBases,
+    _as_int,
+    _Record,
+    _require_dimension,
+    _require_prime,
+    _require_prime_bases,
 )
+from .core import is_prime  # noqa: F401  (defined here before core; see its end)
+from .errors import BaseMismatch, DiaphonyError, DimensionMismatch, OutOfUnitInterval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,9 +36,7 @@ __all__ = [
     "DigitVector",
     "Point",
     "PointSet",
-    "PrimeBases",
     "IndexVector",
-    "is_prime",
     "monna",
     "monna_inverse",
     "float_to_digits",
@@ -52,15 +50,6 @@ __all__ = [
 ]
 
 
-# Miller-Rabin on these witnesses is exact below 318665857834031151167461
-# (Sorenson and Webster, 2017), far above _MAX_BASE; past it, a True is a
-# strong probable prime to all twelve.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Digit matrices are int64, so a base must be below 2**63.
-_MAX_BASE = 2**63 - 1
-# Entries kept by the per-base caches: bases repeat, so a few suffice, and
-# a bound keeps many distinct calls from growing the cache without limit.
-_CACHE_SIZE = 1024
 # int() parses base-p text in C for p <= 36.  Outside the powers of 2 it
 # refuses text longer than sys.get_int_max_str_digits(), which is 0 (no
 # limit) or at least 640, so longer text is parsed 640 digits at a time.
@@ -71,50 +60,6 @@ _TEXT_DIGITS = 640
 # Rows that PointSet.from_points joins into one bytes buffer: the buffer and
 # its row bytes are the packing's only transient, so it stays this small.
 _PACK_ROWS = 256
-
-
-@lru_cache(maxsize=_CACHE_SIZE, typed=True)  # typed: 7.0 must not hit the entry for 7
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test over _WITNESSES; cached
-    because bases repeat heavily."""
-    n = _as_int(n, "n")
-    if n < 2:
-        return False
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _as_int(value, what: str) -> int:
-    """``value`` as a Python int (``operator.index``, so numpy integers
-    pass); anything else raises DiaphonyError.  The package's one integer
-    test."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DiaphonyError(f"{what} {value!r} is not an integer") from None
-
-
-def _require_prime(p) -> int:
-    """p as a Python int, once it is a prime; the package's one prime test."""
-    p = _as_int(p, "base")
-    if not is_prime(p):
-        raise NonPrimeBase(p)
-    return p
 
 
 def _digits_to_int(digits, p: int) -> int:
@@ -136,56 +81,6 @@ def _digits_to_int(digits, p: int) -> int:
         chunk = text[j : j + _TEXT_DIGITS]
         num = num * p ** len(chunk) + int(chunk, p)
     return num
-
-
-def _require_dimension(what: str, n: int, bases: PrimeBases) -> None:
-    """The one dimension check: ``what`` has dimension n, as the bases do."""
-    if n != bases.dimension:
-        raise DimensionMismatch(f"{what} dimension {n} != bases dimension {bases.dimension}")
-
-
-class _Record:
-    """Base of the package's immutable records.
-
-    A subclass names its fields in ``__slots__``, in order, and its
-    ``__init__`` checks them and sets each once, with ``object.__setattr__``
-    or ``_set``.  Equality (same class only) and hash read the fields
-    through the class's one ``operator.attrgetter``, repr and pickling by
-    name; assigning or deleting an attribute raises AttributeError.  Slots
-    rather than dataclasses, which load ``inspect`` and exec each class's
-    generated methods at every import.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._fields = operator.attrgetter(*cls.__slots__)
-
-    def _set(self, *values) -> None:
-        """Set the fields to the values, in order; for ``__init__`` only."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields(self) == self._fields(other)
-
-    def __hash__(self):
-        return hash(self._fields(self))
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"{type(self).__qualname__}({args})"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, k) for k in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class DigitVector(_Record):
@@ -271,45 +166,6 @@ class Point(_Record):
 _new = object.__new__
 _set_base, _set_digits = DigitVector.base.__set__, DigitVector.digits.__set__
 _set_coords = Point.coords.__set__
-
-
-class PrimeBases(_Record):
-    """Per-dimension prime bases.
-
-    Construction checks primality only; operations that require pairwise
-    distinct bases (Halton generation, the sequence bounds) check
-    distinctness themselves via :meth:`require_distinct`.
-    """
-
-    __slots__ = ("primes",)
-
-    def __init__(self, primes: tuple[int, ...]):
-        primes = tuple(_as_int(p, "base") for p in primes)
-        if not primes:
-            raise EmptyBases()
-        for p in primes:
-            if p > _MAX_BASE:
-                raise BaseTooLarge(p, _MAX_BASE)
-        object.__setattr__(self, "primes", tuple(map(_require_prime, primes)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.primes)
-
-    def require_distinct(self) -> None:
-        seen = set()
-        for p in self.primes:
-            if p in seen:
-                raise DuplicateBase(p)
-            seen.add(p)
-
-
-def _require_prime_bases(bases) -> PrimeBases:
-    """``bases`` itself, once it is a PrimeBases; the package's one type
-    check of a bases argument, made before anything reads it."""
-    if not isinstance(bases, PrimeBases):
-        raise DiaphonyError(f"bases must be PrimeBases, not {type(bases).__name__}")
-    return bases
 
 
 def _require_bases(ps: PointSet | HaltonSegment, bases: PrimeBases) -> None:

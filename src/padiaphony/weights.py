@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .core import PrimeBases, _as_int, _Record, _require_dimension
+from .core import weight_mass  # noqa: F401  (defined here before core; see its end)
 from .errors import DiaphonyError, DimensionMismatch
-from .padic import IndexVector, PrimeBases, _as_int, _Record, _require_dimension, monna
+from .padic import IndexVector, monna
 
 __all__ = [
     "TruncationBox",
     "block_weight",
     "block_weight_product",
-    "weight_mass",
     "truncated_weight_mass",
 ]
 
@@ -52,14 +53,6 @@ def block_weight_product(k: IndexVector, bases: PrimeBases) -> Fraction:
     out = Fraction(1)
     for ki, p in zip(k.indices, bases.primes):
         out *= block_weight(ki, p)
-    return out
-
-
-def weight_mass(bases: PrimeBases) -> int:
-    """Total weight over all index vectors: prod_i (p_i + 1)."""
-    out = 1
-    for p in bases.primes:
-        out *= p + 1
     return out
 
 

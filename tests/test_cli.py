@@ -7,12 +7,13 @@ import subprocess
 import sys
 import tracemalloc
 from argparse import Namespace
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import padiaphony.cli
-from padiaphony import BoxTooLarge, validate_bases
+from padiaphony import BoxTooLarge, is_prime, validate_bases
 from padiaphony.cli import _emit, main
 from padiaphony.diaphony import ENUMERATION_CAP
 
@@ -256,6 +257,35 @@ def test_bases_past_the_float_range_of_sigma_exit_0(argv):
     proc = _run_python("-m", "padiaphony", *argv, "--bases", LARGE_PRIMES)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr and "inf" not in proc.stdout
+
+
+def _largest_primes(count: int) -> str:
+    """The ``count`` largest primes below 2**61, as a --bases list."""
+    primes, p = [], 2**61 - 1
+    while len(primes) < count:
+        if is_prime(p):
+            primes.append(p)
+        p -= 2
+    return ",".join(map(str, primes))
+
+
+def test_bound_prints_a_c_past_the_float_range(capsys):
+    # the 34 largest primes below 2**61: c is about 1e579, which no float
+    # holds, but the bound at N = 1 is d = 68 max p
+    bases = _largest_primes(34)
+    code, out, err = run(capsys, "bound", "--count", "1", "--bases", bases)
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header == "N,c,d,bound_F2,bound_F"
+    n, c, d, bound, _ = row.split(",")
+    assert Decimal(c).adjusted() == 579
+    assert float(d) == float(bound) == float(68 * (2**61 - 1))
+    code, out, err = run(capsys, "bound", "--count", "1", "--bases", bases, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"][0]["c"] == c
+    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "1", "--bases", bases)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[3] == d
 
 
 def test_spectral_box_is_checked_before_points_are_built(capsys, monkeypatch):
@@ -556,6 +586,77 @@ def test_no_run_loads_dataclasses_and_numpy_free_runs_load_no_inspect():
         "assert not loaded, loaded\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_padiaphony_loads_no_submodule():
+    # a fresh interpreter: the package loads its modules on first use
+    proc = _run_python(
+        "-c",
+        "import sys\n"
+        "import padiaphony\n"
+        "loaded = [m for m in sys.modules if m.startswith('padiaphony.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--dim", "4", "--count", "2048"],
+        ["sweep", "--bases", "2,3", "--from", "1", "--to", "4096", "--step", "pow2"],
+        ["diaphony", "--dim", "4", "--count", "2048", "--start", "1234567", "--method", "kernel"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_form_commands_load_only_the_core(argv):
+    # a fresh interpreter running python -m padiaphony, as the console
+    # script and the benchmark do; modules loaded at startup are not counted
+    proc = _run_python(
+        "-c",
+        "import contextlib, io, runpy, sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.argv = ['padiaphony', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('padiaphony', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, exc.code\n"
+        "loaded = set(sys.modules) - before\n"
+        "assert 'padiaphony.core' in loaded, sorted(loaded)\n"
+        "heavy = {'padiaphony.padic', 'padiaphony.diaphony', 'padiaphony.kernel',\n"
+        "         'fractions', 'decimal', 'numpy'} & loaded\n"
+        "assert not heavy, heavy\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_call_the_routes_bound_at_the_cli_globals(capsys, monkeypatch):
+    # perfbench/tracing.py replaces these names at padiaphony.cli, before or
+    # after a command has bound them there
+    calls = []
+
+    def recorder(name):
+        real = getattr(padiaphony.cli, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return record
+
+    names = ("verify_weyl_bound", "diaphony_spectral", "halton_diaphony_bound")
+    for name in names:
+        if name in padiaphony.cli._ROUTES:  # as before the first command binds it
+            monkeypatch.delitem(vars(padiaphony.cli), name, raising=False)
+        monkeypatch.setattr(padiaphony.cli, name, recorder(name))
+    for argv in (["verify-lemma", "--bases", "2,3", "--count", "64", "--g", "4,3"],
+                 ["diaphony", "--bases", "2,3", "--count", "64", "--method", "spectral",
+                  "--g", "4,3"],
+                 ["bound", "--dim", "2", "--count", "4"]):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+    assert calls == list(names)
 
 
 def test_streamed_output_equals_the_joined_text(capsys, monkeypatch):

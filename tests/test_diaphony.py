@@ -1438,18 +1438,39 @@ def test_bound_and_error_stay_finite_past_the_float_range_of_sigma(dimension):
     assert abs(Fraction(e) ** 2 / ((sig - 1) * Fraction(report.f) ** 2) - 1) <= 1e-14
 
 
-def test_values_past_the_float_range_raise_a_diaphony_error():
-    # 34 large primes: c is about 1e579 and sqrt(sigma - 1) about 2**1037
+def _largest_primes(count):
+    """The ``count`` largest primes below 2**61, LARGE_PRIMES first."""
     primes, p = list(LARGE_PRIMES), LARGE_PRIMES[-1] - 2
-    while len(primes) < 34:
+    while len(primes) < count:
         if is_prime(p):
             primes.append(p)
         p -= 2
-    bases = validate_bases(primes)
+    return primes[:count]
+
+
+def test_values_past_the_float_range_raise_a_diaphony_error():
+    # 34 large primes: c is about 1e579 and sqrt(sigma - 1) about 2**1037
+    bases = validate_bases(_largest_primes(34))
     report = halton_diaphony_prefixes(bases, [2])[0]
     for call in (lambda: halton_diaphony_bound(bases, 2), lambda: worst_case_error(report, bases)):
         with pytest.raises(DiaphonyError, match="float range"):
             call()
+
+
+def test_bound_keeps_a_c_past_the_float_range_as_a_decimal():
+    # 34 large primes: c is about 1e579, but at N = 1 the bound is d alone
+    bases = validate_bases(_largest_primes(34))
+    sig = math.prod(p + 1 for p in bases.primes)
+    log_c = math.log(math.pi**2 / 3) - math.log(sig - 1) + sum(
+        math.log(2 * p * p + math.log(p)) - math.log(math.log(p)) for p in bases.primes
+    )
+    rep = halton_diaphony_bound(bases, 1)
+    assert isinstance(rep.c, Decimal)
+    assert abs(float(rep.c.ln()) - log_c) <= 1e-13 * abs(log_c)
+    assert rep.d == rep.bound_f_squared == float(2 * 34 * LARGE_PRIMES[0])
+    # a c that a float holds is still a float, on either path
+    assert type(halton_diaphony_bound(validate_bases(LARGE_PRIMES), 1).c) is float
+    assert type(halton_diaphony_bound(B23, 1).c) is float
 
 
 def test_halton_bound_constants():
